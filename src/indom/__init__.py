@@ -66,8 +66,6 @@ from .permutation import (
     diagram_to_graph,
     gamma_i_permutation,
     gamma_sets,
-    rightmost_neighbor,
-    rightmost_neighbor_order,
     parse_diagram,
     serialize_diagram,
     cotree_to_diagram,

@@ -113,8 +113,8 @@ def _dispatch_gamma_i(g, args):
     if g.n == 0:
         return algo if algo != "auto" else "exact", 0, DominationCertificate(0, 0, 0), {}
     if algo in ("auto", "cograph"):
-        result = build_cotree(g) if g.n else None
-        if g.n and not isinstance(result, P4Witness):
+        result = build_cotree(g)
+        if not isinstance(result, P4Witness):
             value, cert = gamma_i_cograph(g)
             return "cograph", value, cert, {}
         if algo == "cograph":
@@ -122,8 +122,8 @@ def _dispatch_gamma_i(g, args):
                 f"not a cograph: induced path {result.vertices}", witness=result
             )
     if algo in ("auto", "dh"):
-        seq = recognize_dh(g) if g.n else None
-        if g.n and not isinstance(seq, DHFailure):
+        seq = recognize_dh(g)
+        if not isinstance(seq, DHFailure):
             value, cert = gamma_i_dh(g, build_dh_decomposition(g, seq))
             return "dh", value, cert, {}
         if algo == "dh":

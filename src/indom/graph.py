@@ -69,8 +69,14 @@ class Graph:
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self.n = n
-        self.row = tuple(rows)
+        self._set_rows(rows)
+
+    def _set_rows(self, rows):
+        """Derive every view from the adjacency masks, which must be symmetric
+        and loop-free; no check is made."""
+        rows = tuple(rows)
+        self.n = len(rows)
+        self.row = rows
         self.adj = tuple(tuple(bits(r)) for r in rows)
         self.closed = tuple(r | (1 << v) for v, r in enumerate(rows))
         self.m = sum(r.bit_count() for r in rows) // 2
@@ -135,12 +141,7 @@ def closed_neighborhood(g: Graph, s: Iterable[int] | int) -> int:
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     h = Graph.__new__(Graph)
-    rows = tuple((full & ~g.row[v]) & ~(1 << v) for v in range(g.n))
-    h.n = g.n
-    h.row = rows
-    h.adj = tuple(tuple(bits(r)) for r in rows)
-    h.closed = tuple(r | (1 << v) for v, r in enumerate(rows))
-    h.m = sum(r.bit_count() for r in rows) // 2
+    h._set_rows(full & ~c for c in g.closed)
     return h
 
 

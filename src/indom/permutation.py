@@ -15,12 +15,6 @@ Two consequences drive this module:
   the last member x, so ``k in gamma_x(z)`` holds iff some independent M
   ending in x has gamma(M) = k and gamma(M - N[z]) = k - 1. The table DP in
   :func:`gamma_sets` enumerates exactly these configurations.
-
-The looser transfer rules (``rules="transfer"``) are kept behind the same
-interface for comparison, but they are unreliable in both directions: they
-can miss true table entries (see the five-vertex example in the tests) and
-can claim unachievable values, overshooting the maximum. The exact rules
-are the default and the only ones used for reported values.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ class PermutationDiagram:
         return self.top[i] < self.top[j] and self.bot[i] < self.bot[j]
 
     def rank(self, v):
-        """Rightmost endpoint of v, for the rightmost-neighbor orders."""
+        """Rightmost endpoint of v; orders the candidate covering vertices."""
         return (max(self.top[v], self.bot[v]), self.top[v], v)
 
     def mirror(self):
@@ -71,21 +65,6 @@ def diagram_to_graph(d: PermutationDiagram) -> Graph:
         if d.crosses(i, j)
     ]
     return Graph(d.n, edges)
-
-
-def rightmost_neighbor_order(d: PermutationDiagram, g: Graph, x: int) -> list[int]:
-    """Closed neighbors of x, rightmost endpoint first. x itself is a candidate."""
-    return sorted(bits(g.closed[x]), key=d.rank, reverse=True)
-
-
-def rightmost_neighbor(d, g, x, excluding_neighbors_of=None):
-    """Rightmost closed neighbor of x, optionally restricted to non-neighbors of y."""
-    cands = g.closed[x]
-    if excluding_neighbors_of is not None:
-        cands &= ~g.row[excluding_neighbors_of]
-    if cands == 0:
-        return None
-    return max(bits(cands), key=d.rank)
 
 
 def gamma_i_permutation(d: PermutationDiagram) -> tuple[int, DominationCertificate]:
@@ -152,8 +131,6 @@ class GammaSets:
 def gamma_sets(d: PermutationDiagram, rules: str = "exact") -> GammaSets:
     if rules == "exact":
         return _gamma_sets_exact(d)
-    if rules == "transfer":
-        return _gamma_sets_transfer(d)
     raise GraphError(f"unknown rule set {rules!r}")
 
 
@@ -200,40 +177,6 @@ def _gamma_sets_exact(d):
             if acc:
                 key = (last, z)
                 out.table[key] = out.table.get(key, 0) | acc
-    return out
-
-
-def _gamma_sets_transfer(d):
-    """Literal left-to-right transfer rules.
-
-    Base case: the singleton set {x} contributes k=1 at the rightmost closed
-    neighbor of x. For each non-neighbor y left of x: values move unchanged
-    along shared neighbors of x and y, and move shifted by one onto the
-    rightmost neighbor of x outside N(y), fed by any z' in N[y] - N(x).
-    """
-    g = diagram_to_graph(d)
-    n = d.n
-    out = GammaSets(n, "transfer")
-    table = out.table
-    order = sorted(range(n), key=lambda v: d.top[v])
-    for x in order:
-        z0 = rightmost_neighbor(d, g, x)
-        table[(x, z0)] = table.get((x, z0), 0) | 2
-        for y in order:
-            if d.top[y] >= d.top[x] or not d.left_of(y, x):
-                continue
-            for z in bits(g.closed[x] & g.row[y]):
-                moved = table.get((y, z), 0)
-                if moved:
-                    table[(x, z)] = table.get((x, z), 0) | moved
-            zstar = rightmost_neighbor(d, g, x, excluding_neighbors_of=y)
-            if zstar is None:
-                continue
-            pool = 0
-            for zp in bits(g.closed[y] & ~g.row[x]):
-                pool |= table.get((y, zp), 0)
-            if pool:
-                table[(x, zstar)] = table.get((x, zstar), 0) | (pool << 1)
     return out
 
 

@@ -9,6 +9,13 @@ minimum number of dominators spent so far. Keeping the whole table per
 A-class is what lets the root take a maximum over A of a minimum over D;
 a flat boolean table over counts cannot, because independent sets of equal
 size with different domination costs would be merged.
+
+Tables are closed under white subsets: with (dm, w), every (dm, w') with w'
+inside w is present at equal or lower cost. An entry reads "at least w
+dominated", a lookup is one dict access and equal cost functions have equal
+tables. Forget keeps the closure; introduce restores it with one pass over
+the bits it whitened; join pairs only disjoint white sets under equal
+D-patterns, as closure supplies every disjoint split of a union.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ def validate_decomposition(g: Graph, td: TreeDecomposition):
     union = 0
     for b in td.bags:
         union |= b
+    if union >> g.n:
+        return Violation("vertex-range", f"vertex {union.bit_length() - 1} is not in 0..{g.n - 1}")
     if union != g.full_mask:
         missing = next(bits(g.full_mask & ~union))
         return Violation("vertex-cover", f"vertex {missing} is in no bag")
@@ -264,70 +273,38 @@ def bag_status(alpha: int, dmask: int, wmask: int, v: int) -> str:
 # --- the DP ------------------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
 class _Item:
-    __slots__ = ("alpha", "table", "p", "prov")
-
-    def __init__(self, alpha, table, p, prov):
-        self.alpha = alpha
-        self.table = table
-        self.p = p
-        self.prov = prov
+    alpha: int
+    table: dict
+    prov: tuple
 
 
-def _normalize(table):
-    """Per D-pattern, keep only white-set/cost pairs not beaten by a superset
-    at equal or lower cost."""
-    by_d = {}
-    for (dm, wm), c in table.items():
-        by_d.setdefault(dm, []).append((wm, c))
-    out = {}
-    for dm, entries in by_d.items():
-        entries.sort(key=lambda e: e[1])
-        kept = []
-        for wm, c in entries:
-            if not any(kw & wm == wm and kc <= c for kw, kc in kept):
-                kept.append((wm, c))
-        for wm, c in kept:
-            out[(dm, wm)] = c
-    return out
-
-
-def _query(table, dm, wm):
-    best = None
-    for (d, w), c in table.items():
-        if d == dm and w & wm == wm and (best is None or c < best):
-            best = c
-    return best
-
-
-def _everywhere_at_least(b, a):
-    """True if b's cost function is pointwise >= a's, so a never wins the max."""
-    for (dm, wm), c in b.table.items():
-        qa = _query(a.table, dm, wm)
-        if qa is None or qa > c:
+def _at_least(b, a):
+    """True if table b costs at least as much as table a on every key of b,
+    so a never wins the maximum over A."""
+    for key, c in b.items():
+        ca = a.get(key)
+        if ca is None or ca > c:
             return False
     return True
 
 
-def _merge_items(items, pareto_threshold=10):
-    by_alpha = {}
-    for it in items:
-        key = (it.alpha, tuple(sorted(it.table.items())))
-        if key not in by_alpha:
-            by_alpha[key] = it
+def _merge_items(items):
+    """Per A-pattern, keep one item of each cost function that no other
+    item's function bounds from above. Closed tables are canonical, so equal
+    functions have equal tables and duplicates go the same way."""
     grouped = {}
-    for (alpha, _), it in by_alpha.items():
-        grouped.setdefault(alpha, []).append(it)
+    for it in items:
+        grouped.setdefault(it.alpha, []).append(it)
     out = []
     for group in grouped.values():
-        if len(group) > pareto_threshold:
-            kept = []
-            for it in group:
-                if not any(_everywhere_at_least(b, it) for b in kept):
-                    kept = [b for b in kept if not _everywhere_at_least(it, b)]
-                    kept.append(it)
-            group = kept
-        out.extend(group)
+        kept = []
+        for it in group:
+            if not any(_at_least(b.table, it.table) for b in kept):
+                kept = [b for b in kept if not _at_least(it.table, b.table)]
+                kept.append(it)
+        out.extend(kept)
     return out
 
 
@@ -335,7 +312,7 @@ def _dp_items(g, nd):
     done = {}
     for idx, node in enumerate(nd.nodes):
         if node.kind == LEAF:
-            items = [_Item(0, {(0, 0): 0}, 0, ("leaf",))]
+            items = [_Item(0, {(0, 0): 0}, ("leaf",))]
         elif node.kind == INTRODUCE:
             items = _introduce(g, node, done[node.children[0]])
         elif node.kind == FORGET:
@@ -346,24 +323,35 @@ def _dp_items(g, nd):
     return done
 
 
+def _close(table, mask):
+    """Add, for every bit of mask, each entry with that white bit dropped at
+    no higher cost; a table already closed under the other bits ends closed."""
+    for v in bits(mask):
+        vb = 1 << v
+        for (dm, wm), c in list(table.items()):
+            if wm & vb:
+                _upd(table, dm, wm ^ vb, c)
+    return table
+
+
 def _introduce(g, node, child_items):
     v = node.vertex
     vb = 1 << v
     row = g.row[v]
     items = []
     for it in child_items:
+        seen = row & it.alpha
         table = {}
         for (dm, wm), c in it.table.items():
             _upd(table, dm, wm, c)
-            _upd(table, dm | vb, wm | (row & it.alpha), c + 1)
-        items.append(_Item(it.alpha, _normalize(table), it.p, ("intro", it, v, False)))
-        if row & it.alpha == 0:
-            alpha = it.alpha | vb
+            _upd(table, dm | vb, wm | seen, c + 1)
+        items.append(_Item(it.alpha, _close(table, seen), ("intro", it, v, False)))
+        if not seen:
             table = {}
             for (dm, wm), c in it.table.items():
                 _upd(table, dm, wm | (vb if dm & row else 0), c)
                 _upd(table, dm | vb, wm | vb, c + 1)
-            items.append(_Item(alpha, _normalize(table), it.p + 1, ("intro", it, v, True)))
+            items.append(_Item(it.alpha | vb, _close(table, vb), ("intro", it, v, True)))
     return items
 
 
@@ -379,27 +367,28 @@ def _forget(node, child_items):
                 continue  # a forgotten member of A must be dominated by now
             _upd(table, dm & ~vb, wm & ~vb, c)
         if table:
-            items.append(_Item(it.alpha & ~vb, _normalize(table), it.p, ("forget", it, v)))
+            items.append(_Item(it.alpha & ~vb, table, ("forget", it, v)))
     return items
 
 
 def _join(items1, items2):
     by_alpha = {}
     for it in items2:
-        by_alpha.setdefault(it.alpha, []).append(it)
+        by_d = {}
+        for (dm, wm), c in it.table.items():
+            by_d.setdefault(dm, []).append((wm, c))
+        by_alpha.setdefault(it.alpha, []).append((it, by_d))
     items = []
     for it1 in items1:
-        for it2 in by_alpha.get(it1.alpha, ()):
-            by_d = {}
-            for (dm, wm), c in it2.table.items():
-                by_d.setdefault(dm, []).append((wm, c))
+        for it2, by_d in by_alpha.get(it1.alpha, ()):
             table = {}
             for (dm, w1), c1 in it1.table.items():
+                c1 -= dm.bit_count()  # both sides count the bag's dominators
                 for w2, c2 in by_d.get(dm, ()):
-                    _upd(table, dm, w1 | w2, c1 + c2 - dm.bit_count())
+                    if not w1 & w2:
+                        _upd(table, dm, w1 | w2, c1 + c2)
             if table:
-                p = it1.p + it2.p - it1.alpha.bit_count()
-                items.append(_Item(it1.alpha, _normalize(table), p, ("join", it1, it2)))
+                items.append(_Item(it1.alpha, table, ("join", it1, it2)))
     return items
 
 
@@ -486,9 +475,20 @@ def serialize_decomposition(td: TreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ids(tokens, first, lineno):
+    """Tokens as 0-based ids; ids in the file start at `first`."""
+    try:
+        ids = [int(t) - first for t in tokens]
+    except ValueError:
+        raise FormatError(f"expected integers, got {' '.join(tokens)!r}", lineno) from None
+    if any(i < 0 for i in ids):
+        raise FormatError(f"ids start at {first}", lineno)
+    return ids
+
+
 def parse_decomposition(text: str) -> TreeDecomposition:
     header = None
-    one_based = False
+    first = 0
     bags = {}
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -501,29 +501,27 @@ def parse_decomposition(text: str) -> TreeDecomposition:
                 raise FormatError("duplicate 's' header", lineno)
             body = parts[1:]
             if body and body[0] == "td":
-                one_based = True
+                first = 1
                 body = body[1:]
             if len(body) != 3:
                 raise FormatError("expected 's [td] <#bags> <width+1> <n>'", lineno)
-            header = tuple(int(x) for x in body)
+            header = tuple(_ids(body, 0, lineno))
         elif parts[0] == "b":
-            if header is None:
-                raise FormatError("bag before 's' header", lineno)
-            idx = int(parts[1]) - (1 if one_based else 0)
-            verts = [int(x) - (1 if one_based else 0) for x in parts[2:]]
+            if header is None or len(parts) < 2:
+                raise FormatError("expected bag line 'b <id> <vertices..>' after 's'", lineno)
+            idx, *verts = _ids(parts[1:], first, lineno)
+            if any(v >= header[2] for v in verts):
+                raise FormatError(f"bag {parts[1]} has a vertex out of range for n={header[2]}", lineno)
             if idx in bags:
                 raise FormatError(f"duplicate bag {parts[1]}", lineno)
             bags[idx] = mask_from(verts)
         else:
             if header is None or len(parts) != 2:
                 raise FormatError("expected bag-edge line '<id> <id>'", lineno)
-            a = int(parts[0]) - (1 if one_based else 0)
-            b = int(parts[1]) - (1 if one_based else 0)
-            edges.append((a, b))
+            edges.append(tuple(_ids(parts, first, lineno)))
     if header is None:
         raise FormatError("missing 's' header")
     count, _, n = header
-    if sorted(bags) != list(range(count)):
+    if len(bags) != count or sorted(bags) != list(range(count)):
         raise FormatError(f"expected bags 0..{count - 1}")
-    td = TreeDecomposition(n, [bags[i] for i in range(count)], edges)
-    return td
+    return TreeDecomposition(n, [bags[i] for i in range(count)], edges)

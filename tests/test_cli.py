@@ -78,6 +78,20 @@ class TestGammaI:
         assert code == 2
         assert "ceiling" in reports[0]["error"]
 
+    @pytest.mark.parametrize("text", [
+        "s 5 3 6\nb 0 0 1\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5\n0 1\n1 2\n2 3\n3 4\n",
+        "s 4 2 5\nb 0 0 x\nb 1 1 2\nb 2 2 3\nb 3 3 4\n0 1\n1 2\n2 3\n",
+        "s td 4 2 5\nb 1 0 1\nb 2 2 3\nb 3 3 4\nb 4 4 5\n1 2\n2 3\n3 4\n",
+    ], ids=["vertex-beyond-graph", "non-integer", "pace-vertex-zero"])
+    def test_malformed_td_is_a_json_error(self, tmp_path, capsys, text):
+        target = write_graph(tmp_path, path(5))
+        td = tmp_path / "td.txt"
+        td.write_text(text)
+        code, reports = run(capsys, ["gamma-i", target, "--algo", "treewidth",
+                                     "--td", str(td)])
+        assert code == 2
+        assert len(reports) == 1 and "error" in reports[0]
+
 
 class TestSideArtifacts:
     def test_cotree_flag(self, tmp_path, capsys):

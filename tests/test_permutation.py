@@ -18,8 +18,6 @@ from indom.permutation import (
     gamma_of_ordered_set,
     gamma_sets,
     parse_diagram,
-    rightmost_neighbor,
-    rightmost_neighbor_order,
     serialize_diagram,
 )
 from indom.oracle import gamma_i_oracle, gamma_of_set
@@ -34,11 +32,6 @@ def identity_diagram(n):
 
 def reversal_diagram(n):
     return PermutationDiagram(n, tuple(range(n)), tuple(reversed(range(n))))
-
-
-# five segments where the looser transfer rules miss a table entry:
-# segment 1 crosses 2, 3, 4; segment 3 crosses 0, 2; 0, 2, 4 are parallel
-GAP_DIAGRAM = PermutationDiagram(5, (0, 1, 2, 3, 4), (1, 4, 2, 0, 3))
 
 
 class TestDiagramToGraph:
@@ -57,32 +50,6 @@ class TestDiagramToGraph:
     def test_rejects_non_permutation(self):
         with pytest.raises(GraphError):
             PermutationDiagram(3, (0, 1, 1), (0, 1, 2))
-
-
-class TestRightmostNeighbor:
-    def test_edgeless_returns_self(self):
-        d = identity_diagram(4)
-        g = diagram_to_graph(d)
-        assert rightmost_neighbor(d, g, 1) == 1
-        assert rightmost_neighbor_order(d, g, 1) == [1]
-
-    def test_complete_leftmost(self):
-        d = reversal_diagram(4)
-        g = diagram_to_graph(d)
-        # every endpoint ranking: segment 0 has endpoints (0, 3), etc.
-        z = rightmost_neighbor(d, g, 0)
-        assert z == max(range(4), key=d.rank)
-
-    def test_isolated_vertex(self):
-        d = PermutationDiagram(3, (0, 1, 2), (1, 0, 2))
-        g = diagram_to_graph(d)
-        assert rightmost_neighbor(d, g, 2) == 2
-
-    def test_restricted_candidates(self):
-        d = GAP_DIAGRAM
-        g = diagram_to_graph(d)
-        # neighbors of 4 are {1}; excluding neighbors of 2 kills 1, keeps 4
-        assert rightmost_neighbor(d, g, 4, excluding_neighbors_of=2) == 4
 
 
 class TestGammaIPermutation:
@@ -161,21 +128,6 @@ class TestGammaSets:
             d = random_diagram(4 + seed % 9, seed)
             gs = gamma_sets(d, "exact")
             assert gs.max_k() == gamma_i_permutation(d)[0]
-
-    def test_transfer_rules_miss_an_entry(self):
-        exact = gamma_sets(GAP_DIAGRAM, "exact")
-        transfer = gamma_sets(GAP_DIAGRAM, "transfer")
-        assert exact.values(4, 1) == [1, 2]
-        assert transfer.values(4, 1) == [1]
-
-    def test_transfer_rules_can_overshoot_the_value(self):
-        # seed found by sweep: the literal rules claim an unrealizable k
-        d = random_diagram(9, 23)
-        g = diagram_to_graph(d)
-        transfer = gamma_sets(d, "transfer")
-        oracle = gamma_i_oracle(g)[0]
-        assert transfer.max_k() > oracle
-        assert gamma_sets(d, "exact").max_k() == oracle
 
 
 class TestDiagramFormat:

@@ -1,6 +1,7 @@
 import pytest
 
 from indom import (
+    FormatError,
     Graph,
     build_graph,
     bits,
@@ -26,7 +27,6 @@ from indom.treewidth import (
     serialize_decomposition,
     validate_decomposition,
     _dp_items,
-    _query,
 )
 from indom.oracle import gamma_i_oracle
 from indom.generators import cycle, gnp, grid, path, star
@@ -50,6 +50,12 @@ class TestValidate:
         bad = validate_decomposition(path(4), td)
         assert bad is not None and bad.kind == "connectivity"
         assert "vertex 1" in bad.detail
+
+    def test_vertex_beyond_graph(self):
+        td = TreeDecomposition(4, [0b0011, 0b0110, 0b11100], [(0, 1), (1, 2)])
+        bad = validate_decomposition(path(4), td)
+        assert bad is not None and bad.kind == "vertex-range"
+        assert "vertex 4" in bad.detail
 
 
 class TestHeuristic:
@@ -211,7 +217,7 @@ class TestPerNodeTableOracle:
                     fn = {}
                     for ds in {k[0] for k in it.table}:
                         for w in subsets_of(it.alpha):
-                            q = _query(it.table, ds, w)
+                            q = it.table.get((ds, w))
                             if q is not None:
                                 fn[(ds, w)] = q
                     by_alpha.setdefault(it.alpha, []).append(fn)
@@ -231,6 +237,23 @@ class TestPerNodeTableOracle:
                         )
                         if maximal:
                             assert fn in got
+
+
+class TestClosedTables:
+    def test_every_table_closed_and_no_item_dominated(self):
+        for seed in range(30):
+            g = gnp(5 + seed % 6, 0.3, seed)
+            done = _dp_items(g, make_nice(heuristic_decomposition(g)))
+            for items in done.values():
+                for it in items:
+                    for (dm, w), c in it.table.items():
+                        for v in bits(w):
+                            sub = it.table.get((dm, w & ~(1 << v)))
+                            assert sub is not None and sub <= c
+                for a in items:
+                    for b in items:
+                        if a is not b and a.alpha == b.alpha:
+                            assert not _fn_at_least(a.table, b.table)
 
 
 class TestDecompositionFormat:
@@ -254,3 +277,15 @@ class TestDecompositionFormat:
         text = "s 4 2 5\nb 0 0 1\nb 1 1 2\nb 2 2 3\nb 3 3 4\n0 1\n1 2\n2 3\n"
         td = parse_decomposition(text)
         assert gamma_i_treewidth(g, td)[0] == gamma_i_oracle(g)[0]
+
+    def test_non_integer_token(self):
+        with pytest.raises(FormatError, match="line 2"):
+            parse_decomposition("s 2 2 3\nb 0 0 x\nb 1 1 2\n0 1\n")
+
+    def test_pace_style_rejects_vertex_zero(self):
+        with pytest.raises(FormatError, match="line 2"):
+            parse_decomposition("s td 2 2 3\nb 1 0 1\nb 2 2 3\n1 2\n")
+
+    def test_vertex_beyond_header(self):
+        with pytest.raises(FormatError, match="line 2"):
+            parse_decomposition("s 2 2 3\nb 0 0 3\nb 1 1 2\n0 1\n")
