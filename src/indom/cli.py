@@ -1,8 +1,10 @@
 """Command-line interface: class-aware dispatch, oracle access, generation,
-cross-validation suites, product-inequality checks and benchmarks.
+cross-validation suites and product-inequality checks.
 
 Every command emits JSON lines (one object per instance) on stdout. The
-process exits nonzero iff some requested verification failed.
+process exits nonzero iff some requested verification failed; malformed
+input, a bad flag or a refused forced solver gives one JSON error line and
+exit code 2.
 """
 
 from __future__ import annotations
@@ -10,18 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 
 from . import generators
 from .graph import (
     Graph,
     GraphError,
-    bits,
     cartesian_product,
     dominates,
-    is_independent,
     mask_from,
     mask_to_list,
     parse,
@@ -37,6 +35,7 @@ from .cograph import (
     ClassMismatchError,
     P4Witness,
     build_cotree,
+    cotree_to_graph,
     gamma_cograph,
     gamma_i_cograph,
     parse_cotree,
@@ -45,9 +44,7 @@ from .distance_hereditary import (
     DHFailure,
     build_dh_decomposition,
     gamma_i_dh,
-    parse_sequence,
     recognize_dh,
-    replay_sequence,
 )
 from .permutation import diagram_to_graph, gamma_i_permutation, parse_diagram
 from .treewidth import (
@@ -56,6 +53,7 @@ from .treewidth import (
     gamma_i_treewidth,
     heuristic_decomposition,
     parse_decomposition,
+    validate_decomposition,
 )
 from .exactexp import DEFAULT_BETA, DEFAULT_CEILING, gamma_i_exact
 from .planar import ptas_gamma_i
@@ -66,7 +64,12 @@ ENV_EXACT_CEILING = "INDOM_EXACT_CEILING"
 
 def _env_int(name, default):
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise GraphError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _read_input(path):
@@ -104,23 +107,42 @@ def _report(args, g, algorithm, value, cert, extra=None):
     return 0
 
 
-def _dispatch_gamma_i(g, args):
+def _side_files(g, args):
+    """Every side file given, parsed and checked against g before any solver
+    runs: (cotree, diagram, tree decomposition), None where not given."""
+    cotree = diagram = td = None
+    if args.cotree is not None:
+        cotree = parse_cotree(_read_input(args.cotree))
+        if cotree_to_graph(cotree) != g:
+            raise GraphError("cotree does not match the input graph")
+    if args.diagram is not None:
+        diagram = parse_diagram(_read_input(args.diagram))
+        if diagram_to_graph(diagram) != g:
+            raise GraphError("diagram does not match the input graph")
+    if args.td is not None:
+        td = parse_decomposition(_read_input(args.td))
+        bad = validate_decomposition(g, td)
+        if bad is not None:
+            raise GraphError(f"invalid tree decomposition ({bad})")
+    return cotree, diagram, td
+
+
+def _dispatch_gamma_i(g, args, cotree, diagram, td):
     """First applicable solver: cograph, distance-hereditary, permutation
-    (diagram given), treewidth (decomposition given or width under the
-    ceiling), exact exponential."""
+    (diagram given), treewidth (within the width ceiling), exact exponential.
+    Each class gets the side file given for it, or the recognizer's result;
+    a forced solver that refuses raises."""
     algo = args.algo
-    width_ceiling = args.width_ceiling
     if g.n == 0:
         return algo if algo != "auto" else "exact", 0, DominationCertificate(0, 0, 0), {}
     if algo in ("auto", "cograph"):
-        result = build_cotree(g)
-        if not isinstance(result, P4Witness):
-            value, cert = gamma_i_cograph(g)
-            return "cograph", value, cert, {}
+        tree = cotree if cotree is not None else build_cotree(g)
+        if not isinstance(tree, P4Witness):
+            value, cert = gamma_i_cograph(g, tree)
+            extra = {"gamma": gamma_cograph(cotree)} if cotree is not None else {}
+            return "cograph", value, cert, extra
         if algo == "cograph":
-            raise ClassMismatchError(
-                f"not a cograph: induced path {result.vertices}", witness=result
-            )
+            raise ClassMismatchError(f"not a cograph: induced path {tree.vertices}", witness=tree)
     if algo in ("auto", "dh"):
         seq = recognize_dh(g)
         if not isinstance(seq, DHFailure):
@@ -130,46 +152,28 @@ def _dispatch_gamma_i(g, args):
             raise ClassMismatchError(
                 f"not distance-hereditary: stuck at vertex {seq.stuck_vertex}", witness=seq
             )
-    if args.diagram is not None and algo in ("auto", "permutation"):
-        diagram = parse_diagram(_read_input(args.diagram))
-        if diagram_to_graph(diagram) != g:
-            raise GraphError("diagram does not match the input graph")
+    if diagram is not None and algo in ("auto", "permutation"):
         value, cert = gamma_i_permutation(diagram)
         return "permutation", value, cert, {}
     if algo == "permutation":
         raise GraphError("permutation solver needs --diagram (recognition is out of scope)")
     if algo in ("auto", "treewidth"):
-        td = None
-        if args.td is not None:
-            td = parse_decomposition(_read_input(args.td))
-        else:
-            candidate = heuristic_decomposition(g)
-            if candidate.width <= width_ceiling:
-                td = candidate
-        if td is not None:
-            try:
-                value, cert = gamma_i_treewidth(g, td, width_ceiling)
-                return "treewidth", value, cert, {"width": td.width}
-            except CapacityError:
-                if algo == "treewidth":
-                    raise
+        decomposition = td if td is not None else heuristic_decomposition(g)
+        try:
+            value, cert = gamma_i_treewidth(g, decomposition, args.width_ceiling)
+            return "treewidth", value, cert, {"width": decomposition.width}
+        except CapacityError:
+            if algo == "treewidth":
+                raise
     value, cert, stats = gamma_i_exact(g, beta=args.beta, ceiling=args.exact_ceiling)
     return "exact", value, cert, {"stats": stats.as_dict()}
 
 
 def cmd_gamma_i(args):
     g = _load_graph(args)
-    if args.cotree is not None:
-        from .cograph import cotree_to_graph
-
-        t = parse_cotree(_read_input(args.cotree))
-        if cotree_to_graph(t) != g:
-            _emit({"input": args.input, "error": "cotree does not match the input graph"})
-            return 2
-        value, cert = gamma_i_cograph(g)
-        return _report(args, g, "cograph", value, cert, {"gamma": gamma_cograph(t)})
+    side_files = _side_files(g, args)
     try:
-        algorithm, value, cert, extra = _dispatch_gamma_i(g, args)
+        algorithm, value, cert, extra = _dispatch_gamma_i(g, args, *side_files)
     except ClassMismatchError as exc:
         _emit({"input": args.input, "error": str(exc), "witness": _witness_dict(exc.witness)})
         return 2
@@ -197,7 +201,15 @@ def cmd_oracle(args):
     if args.what == "gamma-i":
         value, cert = gamma_i_oracle(g)
         return _report(args, g, "oracle", value, cert)
-    targets = mask_from(int(v) for v in args.set.split(",")) if args.set else 0
+    targets = 0
+    if args.set:
+        try:
+            ids = [int(v) for v in args.set.split(",")]
+        except ValueError:
+            raise GraphError(f"--set expects comma-separated ids, got {args.set!r}") from None
+        if not all(0 <= v < g.n for v in ids):
+            raise GraphError(f"--set names a vertex outside 0..{g.n - 1}")
+        targets = mask_from(ids)
     value, witness = gamma_of_set(g, targets)
     report = {
         "input": args.input,
@@ -384,65 +396,15 @@ def cmd_product_check(args):
     return 1 if failures else 0
 
 
-def _median_time(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise GraphError, so they end as a JSON error line."""
 
-
-def cmd_bench(args):
-    import math
-
-    if args.suite == "cograph":
-        t = generators.random_cotree(args.size or 100_000, args.seed)
-        elapsed = _median_time(lambda: gamma_cograph(t), args.repeats)
-        _emit({"suite": "cograph", "n": t.n, "median_s": elapsed})
-    elif args.suite == "dh":
-        sizes = args.sizes or [250, 500, 1000, 2000]
-        rows = []
-        for n in sizes:
-            made = generators.random_dh(n, args.seed)
-
-            def run():
-                decomp = build_dh_decomposition(made.graph, made.artifact)
-                gamma_i_dh(made.graph, decomp)
-
-            elapsed = _median_time(run, args.repeats)
-            rows.append((n, elapsed))
-            _emit({"suite": "dh", "n": n, "median_s": elapsed})
-        if len(rows) >= 2:
-            xs = [math.log(n) for n, _ in rows]
-            ys = [math.log(max(t, 1e-9)) for _, t in rows]
-            mean_x = sum(xs) / len(xs)
-            mean_y = sum(ys) / len(ys)
-            slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
-                (x - mean_x) ** 2 for x in xs
-            )
-            _emit({"suite": "dh", "loglog_exponent": round(slope, 3)})
-    elif args.suite == "exact":
-        g = generators.gnp(args.size or 30, 0.3, args.seed)
-        start = time.perf_counter()
-        value, _cert, stats = gamma_i_exact(g)
-        elapsed = time.perf_counter() - start
-        _emit(
-            {
-                "suite": "exact",
-                "n": g.n,
-                "value": value,
-                "seconds": elapsed,
-                "stats": stats.as_dict(),
-            }
-        )
-    else:
-        raise GraphError(f"unknown bench suite {args.suite!r}")
-    return 0
+    def error(self, message):
+        raise GraphError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indom",
         description="independence-domination number solvers",
     )
@@ -507,21 +469,13 @@ def build_parser():
     p = sub.add_parser("product-check", help="product-domination inequalities")
     p.set_defaults(func=cmd_product_check)
 
-    p = sub.add_parser("bench", help="timing suites")
-    p.add_argument("--suite", required=True, choices=["cograph", "dh", "exact"])
-    p.add_argument("--size", type=int)
-    p.add_argument("--sizes", type=int, nargs="*")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         return args.func(args)
     except (GraphError, OSError) as exc:
         _emit({"error": str(exc)})

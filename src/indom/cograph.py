@@ -114,11 +114,22 @@ def _is_cograph_block(g, mask):
 
 
 def _extract_p4(g, mask):
-    """Shrink a non-cograph block to exactly four vertices inducing a P4."""
-    for v in mask_to_list(mask):
-        smaller = mask & ~(1 << v)
+    """Shrink a non-cograph block to exactly four vertices inducing a P4.
+
+    Every superset of a non-cograph set is a non-cograph, so a run of
+    vertices whose removal leaves a non-cograph is dropped at once and a run
+    that cannot go is halved. Each vertex kept was tested alone, so the result
+    is a minimal non-cograph set, which is an induced P4.
+    """
+    runs = [mask_to_list(mask)]
+    while runs:
+        run = runs.pop()
+        smaller = mask & ~mask_from(run)
         if not _is_cograph_block(g, smaller):
             mask = smaller
+        elif len(run) > 1:
+            half = len(run) // 2
+            runs += [run[half:], run[:half]]
     quad = mask_to_list(mask)
     assert len(quad) == 4
     ends = [v for v in quad if (g.row[v] & mask).bit_count() == 1]
@@ -225,17 +236,20 @@ def cotree_component_count(t: Cotree) -> int:
     return 1
 
 
-def gamma_i_cograph(g: Graph) -> tuple[int, DominationCertificate]:
+def gamma_i_cograph(g: Graph, cotree: Cotree | None = None) -> tuple[int, DominationCertificate]:
     """Independence-domination number of a cograph: its component count.
 
-    The certificate takes, per component, the lexicographically least maximal
+    The cotree, when given, stands in for recognition and is trusted to be
+    g's (check it with cotree_to_graph); otherwise g is recognised here. The
+    certificate takes, per component, the lexicographically least maximal
     independent set together with one vertex adjacent to all of it.
     """
     if g.n == 0:
         return 0, DominationCertificate(0, 0, 0)
-    result = build_cotree(g)
-    if isinstance(result, P4Witness):
-        raise ClassMismatchError("input is not a cograph", witness=result)
+    if cotree is None:
+        cotree = build_cotree(g)
+        if isinstance(cotree, P4Witness):
+            raise ClassMismatchError("input is not a cograph", witness=cotree)
     comps = connected_components(g)
     a_mask = 0
     d_mask = 0
@@ -289,24 +303,29 @@ def parse_cotree(text: str) -> Cotree:
         parts = line.split()
         if len(parts) < 4 or parts[0] != "node":
             raise FormatError("expected 'node <id> <parent> <LABEL> [vertex]'", lineno)
-        node_id = int(parts[1])
         label = _LABELS.get(parts[3])
         if label is None:
             raise FormatError(f"unknown label {parts[3]!r}", lineno)
+        if label == LEAF and len(parts) != 5:
+            raise FormatError("leaf line needs a vertex", lineno)
+        try:
+            node_id = int(parts[1])
+            parent_id = None if parts[2] == "-" else int(parts[2])
+            vertex = int(parts[4]) if label == LEAF else None
+        except ValueError:
+            raise FormatError("node ids and vertices must be integers", lineno) from None
         if label == LEAF:
-            if len(parts) != 5:
-                raise FormatError("leaf line needs a vertex", lineno)
-            node = CotreeNode(LEAF, vertex=int(parts[4]))
+            node = CotreeNode(LEAF, vertex=vertex)
             n_leaves += 1
         else:
             node = CotreeNode(label)
         nodes[node_id] = node
-        if parts[2] == "-":
+        if parent_id is None:
             if root_id is not None:
                 raise FormatError("two roots", lineno)
             root_id = node_id
         else:
-            parent = nodes.get(int(parts[2]))
+            parent = nodes.get(parent_id)
             if parent is None:
                 raise FormatError("parent appears after child or is missing", lineno)
             parent.children.append(node)

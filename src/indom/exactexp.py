@@ -258,6 +258,8 @@ def gamma_i_exact(
     Maximal independent sets of size at most beta*n go through the
     branching/matching route, larger ones through subset enumeration.
     """
+    if not 0 <= beta <= 1:
+        raise GraphError(f"beta must be a number in [0, 1], got {beta}")
     if g.n > ceiling:
         raise GraphError(f"n={g.n} above the exact-solver ceiling {ceiling}")
     stats = BranchStats()

@@ -124,6 +124,8 @@ def ptas_gamma_i(
     """
     if not (0 < epsilon < 1):
         raise GraphError("epsilon must be in (0, 1)")
+    if root is not None and not 0 <= root < g.n:
+        raise GraphError(f"root {root} is not a vertex in 0..{g.n - 1}")
     k = math.ceil(1 / epsilon)
     result = PtasResult(0, DominationCertificate(0, 0, 0), k)
     if g.n == 0:

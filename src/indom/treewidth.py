@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, FormatError, bits, mask_from, mask_to_list
+from .graph import MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from, mask_to_list
 from .oracle import DominationCertificate
 
 DEFAULT_WIDTH_CEILING = 12
@@ -433,11 +433,11 @@ def gamma_i_treewidth(
         return 0, DominationCertificate(0, 0, 0)
     if td is None:
         td = heuristic_decomposition(g)
+    if td.width > width_ceiling:
+        raise CapacityError(f"decomposition width {td.width} exceeds ceiling {width_ceiling}")
     bad = validate_decomposition(g, td)
     if bad is not None:
         raise GraphError(f"invalid tree decomposition ({bad})")
-    if td.width > width_ceiling:
-        raise CapacityError(f"decomposition width {td.width} exceeds ceiling {width_ceiling}")
     nd = make_nice(td)
     done = _dp_items(g, nd)
     root_items = done[nd.root]
@@ -506,6 +506,8 @@ def parse_decomposition(text: str) -> TreeDecomposition:
             if len(body) != 3:
                 raise FormatError("expected 's [td] <#bags> <width+1> <n>'", lineno)
             header = tuple(_ids(body, 0, lineno))
+            if header[2] > MAX_VERTICES:
+                raise FormatError(f"n={header[2]} exceeds {MAX_VERTICES} vertices", lineno)
         elif parts[0] == "b":
             if header is None or len(parts) < 2:
                 raise FormatError("expected bag line 'b <id> <vertices..>' after 's'", lineno)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from indom import cli, cograph
 from indom.cli import main
-from indom.generators import cycle, path
+from indom.generators import cycle, grid, path
 from indom.graph import serialize
 
 
@@ -92,6 +93,55 @@ class TestGammaI:
         assert code == 2
         assert len(reports) == 1 and "error" in reports[0]
 
+    @pytest.mark.parametrize("text", [
+        "s 4 2 5\nb 0 0 x\nb 1 1 2\nb 2 2 3\nb 3 3 4\n0 1\n1 2\n2 3\n",
+        "s 3 2 5\nb 0 0 1\nb 1 1 2\nb 2 2 3\n0 1\n1 2\n",
+    ], ids=["non-integer", "vertex-uncovered"])
+    def test_bad_td_is_an_error_when_dh_answers(self, tmp_path, capsys, text):
+        target = write_graph(tmp_path, path(5))
+        td = tmp_path / "td.txt"
+        td.write_text(text)
+        code, reports = run(capsys, ["gamma-i", target, "--td", str(td)])
+        assert code == 2
+        assert len(reports) == 1 and "error" in reports[0]
+
+    @pytest.mark.parametrize("text", ["4\n0 1 x 3\n0 1 2 3\n", "4\n0 1 2 3\n0 1 2 3\n"],
+                             ids=["malformed", "other-graph"])
+    def test_bad_diagram_is_an_error_when_cograph_answers(self, tmp_path, capsys, text):
+        target = write_graph(tmp_path, cycle(4))
+        diagram = tmp_path / "d.txt"
+        diagram.write_text(text)
+        code, reports = run(capsys, ["gamma-i", target, "--diagram", str(diagram)])
+        assert code == 2
+        assert len(reports) == 1 and "error" in reports[0]
+
+    def test_forced_treewidth_refusal_exits_2(self, tmp_path, capsys):
+        target = write_graph(tmp_path, grid(3, 3))
+        code, reports = run(capsys, ["gamma-i", target, "--algo", "treewidth",
+                                     "--width-ceiling", "1"])
+        assert code == 2
+        assert "ceiling" in reports[0]["error"]
+
+    def test_cograph_is_recognised_once(self, tmp_path, capsys, monkeypatch):
+        run(capsys, ["gen", "random_cograph(9)", "--seed", "4",
+                     "-o", str(tmp_path / "g.txt"), "--artifact-out", str(tmp_path / "t.txt")])
+        calls = []
+        original = cograph.build_cotree
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(cli, "build_cotree", counted)
+        monkeypatch.setattr(cograph, "build_cotree", counted)
+        code, reports = run(capsys, ["gamma-i", str(tmp_path / "g.txt")])
+        assert code == 0 and reports[0]["algorithm"] == "cograph"
+        assert len(calls) == 1
+        code, reports = run(capsys, ["gamma-i", str(tmp_path / "g.txt"),
+                                     "--cotree", str(tmp_path / "t.txt")])
+        assert code == 0 and reports[0]["algorithm"] == "cograph"
+        assert len(calls) == 1
+
 
 class TestSideArtifacts:
     def test_cotree_flag(self, tmp_path, capsys):
@@ -123,6 +173,35 @@ class TestEnvCeilings:
         assert code == 0
         assert reports[0]["algorithm"] == "exact"
 
+    @pytest.mark.parametrize("name", ["INDOM_WIDTH_CEILING", "INDOM_EXACT_CEILING"])
+    def test_non_integer_env_is_a_json_error(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "twelve")
+        target = write_graph(tmp_path, cycle(5))
+        code, reports = run(capsys, ["gamma-i", target])
+        assert code == 2
+        assert name in reports[0]["error"]
+
+
+class TestBadFlags:
+    def test_argparse_type_error_is_a_json_error(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(5))
+        code, reports = run(capsys, ["gamma-i", target, "--width-ceiling", "x"])
+        assert code == 2
+        assert len(reports) == 1 and "--width-ceiling" in reports[0]["error"]
+
+    def test_ptas_root_outside_graph(self, tmp_path, capsys):
+        target = write_graph(tmp_path, grid(3, 3))
+        code, reports = run(capsys, ["ptas", target, "--epsilon", "0.34", "--root", "9"])
+        assert code == 2
+        assert "root" in reports[0]["error"]
+
+    @pytest.mark.parametrize("beta", ["nan", "-5"])
+    def test_beta_outside_unit_interval(self, tmp_path, capsys, beta):
+        target = write_graph(tmp_path, cycle(5))
+        code, reports = run(capsys, ["exact", target, "--beta", beta])
+        assert code == 2
+        assert "beta" in reports[0]["error"]
+
 
 class TestOracle:
     def test_gamma(self, tmp_path, capsys):
@@ -145,6 +224,13 @@ class TestOracle:
         code, reports = run(capsys, ["oracle", "gamma-i", target])
         assert code == 0
         assert reports[0]["value"] == 2
+
+    @pytest.mark.parametrize("ids", ["0,99", "a", "0,-1"])
+    def test_gamma_set_rejects_bad_ids(self, tmp_path, capsys, ids):
+        target = write_graph(tmp_path, cycle(9))
+        code, reports = run(capsys, ["oracle", "gamma-set", target, "--set", ids])
+        assert code == 2
+        assert len(reports) == 1 and "--set" in reports[0]["error"]
 
 
 class TestPtasCommand:
@@ -191,25 +277,6 @@ class TestGen:
         seq = parse_sequence((tmp_path / "seq.txt").read_text())
         g = parse((tmp_path / "g.txt").read_text())
         assert replay_sequence(seq) == g
-
-
-class TestBench:
-    def test_cograph_scale(self, capsys):
-        code, reports = run(capsys, ["bench", "--suite", "cograph", "--size", "5000",
-                                     "--repeats", "1"])
-        assert code == 0
-        assert reports[0]["median_s"] < 1.0
-
-    def test_dh_exponent(self, capsys):
-        code, reports = run(capsys, ["bench", "--suite", "dh", "--sizes", "100", "200",
-                                     "--repeats", "1"])
-        assert code == 0
-        assert reports[-1]["loglog_exponent"] <= 3.5
-
-    def test_exact(self, capsys):
-        code, reports = run(capsys, ["bench", "--suite", "exact", "--size", "18"])
-        assert code == 0
-        assert "stats" in reports[0]
 
 
 def test_product_check_command(capsys):

@@ -24,8 +24,8 @@ from indom.cograph import (
     validate_cotree,
 )
 from indom.oracle import gamma
-from indom.generators import cycle, gnp, path, random_cograph, random_cotree
-from indom.graph import connected_components
+from indom.generators import cycle, gnp, path, random_cograph, random_cotree, random_dh
+from indom.graph import FormatError, connected_components
 
 
 def k4():
@@ -59,9 +59,12 @@ class TestBuildCotree:
             assert cotree_to_graph(t) == made.graph
 
     def test_witness_always_induces_p4(self):
+        graphs = [gnp(9, 0.45, seed) for seed in range(60)]
+        graphs += [gnp(10 + seed % 31, 0.05 + seed % 9 * 0.1, seed) for seed in range(150)]
+        big = random_dh(300, 1).graph
+        assert not is_cograph(big)
         found = 0
-        for seed in range(60):
-            g = gnp(9, 0.45, seed)
+        for g in graphs + [big]:
             result = build_cotree(g)
             if isinstance(result, Cotree):
                 continue
@@ -69,7 +72,7 @@ class TestBuildCotree:
             a, b, c, d = result.vertices
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
             assert not g.has_edge(a, c) and not g.has_edge(a, d) and not g.has_edge(b, d)
-        assert found > 10
+        assert found > 200
 
 
 class TestGammaCograph:
@@ -150,3 +153,12 @@ class TestCotreeFormat:
             t = random_cotree(10, seed)
             g = cotree_to_graph(t)
             assert cotree_component_count(t) == len(connected_components(g))
+
+    @pytest.mark.parametrize("line", [
+        "node x 0 LEAF 1", "node 2 y LEAF 1", "node 2 0 LEAF z",
+    ], ids=["node-id", "parent-id", "vertex"])
+    def test_non_integer_token_reports_its_line(self, line):
+        text = "node 0 - UNION\nnode 1 0 LEAF 0\n" + line + "\n"
+        with pytest.raises(FormatError) as err:
+            parse_cotree(text)
+        assert err.value.line == 3

@@ -1,0 +1,62 @@
+"""Random and mutated text through every file-format parser: the only
+exception that may escape is GraphError (FormatError is one), which the
+command line turns into a JSON error with exit code 2."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from indom.cograph import parse_cotree, serialize_cotree
+from indom.distance_hereditary import parse_sequence, serialize_sequence
+from indom.generators import gnp, random_cotree, random_dh_sequence, random_permutation
+from indom.graph import GraphError, parse, serialize
+from indom.permutation import parse_diagram, serialize_diagram
+from indom.treewidth import heuristic_decomposition, parse_decomposition, serialize_decomposition
+
+_g = gnp(6, 0.5, 1)
+# parser and one valid text of its format
+FORMATS = {
+    "edge-list": (lambda text: parse(text, "edge-list"), serialize(_g, "edge-list")),
+    "dimacs": (lambda text: parse(text, "dimacs"), serialize(_g, "dimacs")),
+    "cotree": (parse_cotree, serialize_cotree(random_cotree(6, 1))),
+    "sequence": (parse_sequence, serialize_sequence(random_dh_sequence(6, 1))),
+    "diagram": (parse_diagram, serialize_diagram(random_permutation(6, 1).artifact)),
+    "decomposition": (parse_decomposition,
+                      serialize_decomposition(heuristic_decomposition(_g))),
+}
+
+# every format's keywords, junk and small ids; ids stay small because a
+# parser may size a table by the largest id it reads
+TOKENS = st.one_of(
+    st.sampled_from(["node", "-", "UNION", "JOIN", "LEAF", "pendant", "ttwin", "ftwin",
+                     "p", "e", "edge", "s", "td", "b", "c", "#", "x", "1.5", "0x1", "", "\t"]),
+    st.integers(-3, 12).map(str),
+)
+LINES = st.lists(st.lists(TOKENS, max_size=6), max_size=8)
+
+
+@st.composite
+def texts(draw, valid):
+    """Random lines, or the valid text with a few tokens or lines replaced."""
+    if draw(st.booleans()):
+        return "\n".join(" ".join(line) for line in draw(LINES))
+    lines = [line.split() for line in valid.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        if i < len(lines) and lines[i] and draw(st.booleans()):
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(TOKENS)
+        else:
+            lines[i:i + draw(st.integers(0, 1))] = draw(LINES)[:1]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_only_graph_errors_escape(fmt, data):
+    parser, valid = FORMATS[fmt]
+    text = data.draw(texts(valid))
+    try:
+        parser(text)
+    except GraphError:
+        pass

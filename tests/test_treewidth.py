@@ -289,3 +289,8 @@ class TestDecompositionFormat:
     def test_vertex_beyond_header(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_decomposition("s 2 2 3\nb 0 0 3\nb 1 1 2\n0 1\n")
+
+    def test_vertex_count_beyond_graph_limit(self):
+        # a bag vertex id becomes a bit of a mask, so it must stay small
+        with pytest.raises(FormatError, match="line 1"):
+            parse_decomposition("s 1 1 1000000000000000\nb 0 999999999999999\n")
