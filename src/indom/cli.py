@@ -72,6 +72,27 @@ def _env_int(name, default):
         raise GraphError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _checked(convert, ok, wanted):
+    """An argparse type: convert the text and accept it only if ok(value)."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+# checked when the arguments are parsed, so a bad value is an error whichever
+# class answers (nan fails the comparison)
+_unit_interval = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _read_input(path):
     if path == "-":
         return sys.stdin.read()
@@ -424,8 +445,8 @@ def build_parser():
     p.add_argument("--td", help="tree decomposition file")
     p.add_argument("--width-ceiling", type=int,
                    default=_env_int(ENV_WIDTH_CEILING, DEFAULT_WIDTH_CEILING))
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--exact-ceiling", type=int,
+    p.add_argument("--beta", type=_unit_interval, default=DEFAULT_BETA)
+    p.add_argument("--exact-ceiling", type=_non_negative,
                    default=_env_int(ENV_EXACT_CEILING, DEFAULT_CEILING))
     p.set_defaults(func=cmd_gamma_i)
 
@@ -437,8 +458,8 @@ def build_parser():
 
     p = sub.add_parser("exact", help="exponential-time exact solver")
     add_common(p)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--exact-ceiling", type=int,
+    p.add_argument("--beta", type=_unit_interval, default=DEFAULT_BETA)
+    p.add_argument("--exact-ceiling", type=_non_negative,
                    default=_env_int(ENV_EXACT_CEILING, DEFAULT_CEILING))
     p.set_defaults(func=cmd_exact)
 

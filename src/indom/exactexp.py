@@ -5,6 +5,14 @@ branch-and-bound over outside vertices with three or more M-neighbors,
 finishing with a maximum-matching base case; large sets fall back to subset
 enumeration over the outside vertices. The split threshold is DEFAULT_BETA
 times n.
+
+The answer is a maximum over sets of a minimum, so a set only matters if it
+beats the running maximum. A set with |M| <= best is skipped (M dominates
+itself), and the per-set solver takes the running maximum as a cutoff c:
+once any dominating set of M with at most c vertices is known, by a greedy
+cover or by the search, it returns that set and stops. Only a set whose
+minimum exceeds c is solved to optimality, so the value and witness that
+raise the maximum are always exact.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ class BranchStats:
     matching_calls: int = 0
     subset_calls: int = 0
     sets_enumerated: int = 0
+    sets_cut: int = 0  # settled without search: |M| or a greedy cover <= cutoff
 
     def as_dict(self):
         return {
@@ -37,6 +46,7 @@ class BranchStats:
             "matching_calls": self.matching_calls,
             "subset_calls": self.subset_calls,
             "sets_enumerated": self.sets_enumerated,
+            "sets_cut": self.sets_cut,
         }
 
 
@@ -136,7 +146,9 @@ def brute_force_matching(g: Graph) -> int:
     return best(0, 0)
 
 
-def gamma_of_independent_set_fast(g: Graph, m, stats: BranchStats | None = None):
+def gamma_of_independent_set_fast(
+    g: Graph, m, stats: BranchStats | None = None, cutoff: int = -1
+):
     """Minimum size of a set dominating the independent set m, with witness.
 
     Only edges between m and the rest matter. Any outside vertex with three
@@ -144,6 +156,11 @@ def gamma_of_independent_set_fast(g: Graph, m, stats: BranchStats | None = None)
     discarded); once every remaining outside vertex covers at most two
     m-vertices, pair up coverage via maximum matching: the answer there is
     the matching size plus one dominator per unmatched m-vertex.
+
+    With cutoff c >= 0 and gamma(m) <= c, the result may be any dominating
+    set of m with at most c vertices: a greedy cover is tried first, and the
+    search stops at its first solution of size <= c. With gamma(m) > c, or
+    with the default c = -1, the value and witness are the exact minimum.
     """
     m = mask_from(m)
     if not is_independent(g, m):
@@ -162,6 +179,23 @@ def gamma_of_independent_set_fast(g: Graph, m, stats: BranchStats | None = None)
             committed |= 1 << v
             remaining &= ~(1 << v)
     base_count = committed.bit_count()
+
+    if cutoff >= base_count:
+        # greedy cover: take the outside vertex covering the most of the rest
+        covers = [(cover, x) for x in bits(outside) if (cover := g.row[x] & remaining)]
+        count, witness, rem = base_count, committed, remaining
+        while rem and count <= cutoff:
+            gain = 0
+            for cover, v in covers:
+                c = (cover & rem).bit_count()
+                if c > gain:
+                    gain, x = c, v
+            count += 1
+            witness |= 1 << x
+            rem &= ~g.row[x]
+        if count <= cutoff:
+            stats.sets_cut += 1
+            return count, witness, stats
 
     best = [None, None]  # value, witness
 
@@ -196,6 +230,8 @@ def gamma_of_independent_set_fast(g: Graph, m, stats: BranchStats | None = None)
         best[1] = witness
 
     def descend(rem, avail, count, chosen, depth):
+        if best[0] is not None and best[0] <= cutoff:
+            return
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         if rem == 0:
@@ -256,7 +292,9 @@ def gamma_i_exact(
     """Exact independence-domination number for arbitrary graphs.
 
     Maximal independent sets of size at most beta*n go through the
-    branching/matching route, larger ones through subset enumeration.
+    branching/matching route, larger ones through subset enumeration. A set
+    no larger than the running maximum is skipped, and the branching route
+    gets the running maximum as its cutoff.
     """
     if not 0 <= beta <= 1:
         raise GraphError(f"beta must be a number in [0, 1], got {beta}")
@@ -268,8 +306,11 @@ def gamma_i_exact(
     threshold = beta * g.n
     for m in enumerate_maximal_independent_sets(g):
         stats.sets_enumerated += 1
+        if m.bit_count() <= best_value:
+            stats.sets_cut += 1
+            continue
         if m.bit_count() <= threshold:
-            value, witness, _ = gamma_of_independent_set_fast(g, m, stats)
+            value, witness, _ = gamma_of_independent_set_fast(g, m, stats, best_value)
         else:
             value, witness = _gamma_by_subsets(g, m, stats)
         if value > best_value:

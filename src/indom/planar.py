@@ -11,7 +11,10 @@ not verified.
 The reported value re-evaluates piece witness sets against the whole graph
 and keeps the best, which makes it a true lower bound on the graph's
 independence-domination number (a piece alone may overshoot: deleting a
-layer can remove dominators and leave a strictly harder subgraph).
+layer can remove dominators and leave a strictly harder subgraph). Within
+one shift, each re-evaluation gets the best value so far as its cutoff, so
+a combination that cannot beat it is settled without an exact solve; the
+best value of every shift is still exact.
 """
 
 from __future__ import annotations
@@ -199,7 +202,9 @@ def _best_combination(g, options):
         a_mask = 0
         for m in combo:
             a_mask |= m
-        value, witness, _ = gamma_of_independent_set_fast(g, a_mask)
+        # a combination that cannot beat the best one needs no exact solve
+        cutoff = -1 if best is None else best[0]
+        value, witness, _ = gamma_of_independent_set_fast(g, a_mask, cutoff=cutoff)
         if best is None or value > best[0]:
             best = (value, a_mask, witness)
     return best

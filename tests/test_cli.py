@@ -40,6 +40,8 @@ class TestGammaI:
         assert code == 0
         assert reports[0]["algorithm"] == "exact"
         assert reports[0]["value"] == 1
+        stats = reports[0]["stats"]
+        assert 0 <= stats["sets_cut"] <= stats["sets_enumerated"]
 
     def test_forced_class_mismatch(self, tmp_path, capsys):
         target = write_graph(tmp_path, path(4))
@@ -202,6 +204,17 @@ class TestBadFlags:
         assert code == 2
         assert "beta" in reports[0]["error"]
 
+    @pytest.mark.parametrize("command", ["gamma-i", "exact"])
+    @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "1.5"),
+                                             ("--exact-ceiling", "-3")])
+    def test_exact_flags_checked_when_cograph_answers(self, tmp_path, capsys,
+                                                      command, flag, value):
+        # C4 is a cograph, so gamma-i never reaches the exact solver
+        target = write_graph(tmp_path, cycle(4))
+        code, reports = run(capsys, [command, target, flag, value])
+        assert code == 2
+        assert len(reports) == 1 and flag in reports[0]["error"]
+
 
 class TestOracle:
     def test_gamma(self, tmp_path, capsys):
@@ -231,6 +244,16 @@ class TestOracle:
         code, reports = run(capsys, ["oracle", "gamma-set", target, "--set", ids])
         assert code == 2
         assert len(reports) == 1 and "--set" in reports[0]["error"]
+
+
+class TestExactCommand:
+    def test_stats_report_cut_sets(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(7))
+        code, reports = run(capsys, ["exact", target, "--certify"])
+        assert code == 0 and reports[0]["verified"] is True
+        stats = reports[0]["stats"]
+        assert stats["sets_enumerated"] == 7  # the maximal independent sets of C7
+        assert 0 < stats["sets_cut"] <= stats["sets_enumerated"]
 
 
 class TestPtasCommand:

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from indom import Graph, build_graph, mask_from, verify_certificate, dominates
 from indom.exactexp import (
     DEFAULT_BETA,
@@ -83,6 +85,65 @@ class TestFastGammaOfSet:
             assert witness.bit_count() == value
 
 
+def random_independent_set(g, rng):
+    """An independent set grown in random order, then randomly thinned."""
+    m = 0
+    for v in rng.sample(range(g.n), g.n):
+        if g.closed[v] & m == 0:
+            m |= 1 << v
+    return mask_from(v for v in range(g.n) if m >> v & 1 and rng.random() < 0.8)
+
+
+class TestCutoff:
+    def test_contract_against_oracle(self):
+        # gamma(m) <= c: any dominating set of m with at most c vertices;
+        # gamma(m) > c: the exact minimum with its witness
+        rng = random.Random(7)
+        outcomes = {"greedy": 0, "search stopped": 0, "exact": 0}
+        for trial in range(2000):
+            g = gnp(rng.randint(4, 16), rng.choice((0.1, 0.2, 0.3, 0.45)), trial)
+            m = random_independent_set(g, rng)
+            exact = gamma_of_set(g, m)[0]
+            # mostly at the minimum itself, where a greedy cover often misses
+            cutoff = max(-1, exact + rng.choice((-2, -1, 0, 0, 0, 0, 1, 2)))
+            value, witness, stats = gamma_of_independent_set_fast(g, m, cutoff=cutoff)
+            assert dominates(g, witness, m)
+            assert witness.bit_count() == value
+            if exact <= cutoff:
+                assert exact <= value <= cutoff
+                outcomes["greedy" if stats.sets_cut else "search stopped"] += 1
+            else:
+                assert value == exact
+                assert stats.sets_cut == 0
+                outcomes["exact"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_search_stops_where_greedy_misses(self):
+        # greedy takes the decoy 6 (four m-neighbors) and needs three
+        # dominators; 7 and 8 cover m with two
+        g = build_graph(9, [(6, 1), (6, 2), (6, 3), (6, 4), (7, 0), (7, 1), (7, 2),
+                            (8, 3), (8, 4), (8, 5)])
+        m = mask_from(range(6))
+        value, witness, stats = gamma_of_independent_set_fast(g, m, cutoff=2)
+        assert (value, witness, stats.sets_cut) == (2, 1 << 7 | 1 << 8, 0)
+        assert gamma_of_independent_set_fast(g, m, cutoff=3)[:2] == (3, 1 << 6 | 1 << 7 | 1 << 8)
+
+    @pytest.mark.parametrize("beta", [0, 1])
+    def test_each_route_matches_oracle(self, beta):
+        # beta = 0 sends every set to subset enumeration, beta = 1 to branching
+        for seed in range(200):
+            g = gnp(4 + seed % 13, 0.15 + (seed % 6) * 0.1, 500 + seed)
+            value, cert, stats = gamma_i_exact(g, beta=beta)
+            assert value == gamma_i_oracle(g)[0]
+            assert verify_certificate(g, cert)
+            assert stats.sets_cut <= stats.sets_enumerated
+            solved = stats.sets_enumerated - stats.sets_cut
+            if beta == 0:
+                assert stats.subset_calls == solved
+            else:
+                assert stats.subset_calls == 0
+
+
 class TestGammaIExact:
     def test_oracle_equivalence(self):
         for seed in range(80):
@@ -98,6 +159,7 @@ class TestGammaIExact:
             value, cert, stats = gamma_i_exact(g)
             assert value == t
             assert stats.sets_enumerated == 3**t
+            assert stats.sets_cut <= stats.sets_enumerated
 
     def test_edgeless_subset_route(self):
         g = Graph(6)

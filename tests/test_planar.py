@@ -103,6 +103,49 @@ class TestPtas:
         res = ptas_gamma_i(g, 1 / 3)
         assert res.value == max(res.certified_values.values())
 
+    def test_cutoff_keeps_every_shift_exact(self, monkeypatch):
+        # each shift's certified value is the exact re-domination of the best
+        # combination it tried, and the reported value that of the
+        # certificate's independent set (what perfbench's check_output asserts)
+        from indom import planar
+        from indom.exactexp import gamma_of_independent_set_fast
+
+        tried = []
+        cut = []
+        solve = planar.gamma_of_independent_set_fast
+
+        def recording(g, a_mask, stats=None, cutoff=-1):
+            tried[-1].append(a_mask)
+            cut.append(cutoff >= 0)
+            return solve(g, a_mask, stats, cutoff)
+
+        combine = planar._best_combination
+
+        def per_shift(g, options):
+            tried.append([])
+            return combine(g, options)
+
+        monkeypatch.setattr(planar, "gamma_of_independent_set_fast", recording)
+        monkeypatch.setattr(planar, "_best_combination", per_shift)
+        corpus = [path(n) for n in (6, 10, 14, 20, 25)]
+        corpus += [cycle(n) for n in (5, 9, 13, 20)]
+        corpus += [grid(r, c) for r, c in ((3, 3), (4, 4), (4, 6), (5, 5), (6, 6))]
+        corpus += [random_outerplanar(8 + s * 4, s) for s in range(4)]
+        shifts = 0
+        for g in corpus:
+            for k in (2, 3, 4):
+                tried.clear()
+                res = ptas_gamma_i(g, 1.0 / k)
+                assert len(tried) == len(res.certified_values)
+                for masks, certified in zip(tried, res.certified_values.values()):
+                    exact = [gamma_of_independent_set_fast(g, a)[0] for a in masks]
+                    assert certified == max(exact)
+                    shifts += 1
+                a_mask = res.certificate.independent_set
+                assert res.value == gamma_of_independent_set_fast(g, a_mask)[0]
+        assert shifts == sum((2, 3, 4)) * len(corpus)
+        assert any(cut)
+
     def test_disconnected_input(self):
         g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
         res = ptas_gamma_i(g, 1 / 3)
