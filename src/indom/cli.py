@@ -10,6 +10,7 @@ exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .graph import (
     mask_from,
     mask_to_list,
     parse,
+    parse_ints,
 )
 from .oracle import (
     DominationCertificate,
@@ -62,16 +64,6 @@ ENV_WIDTH_CEILING = "INDOM_WIDTH_CEILING"
 ENV_EXACT_CEILING = "INDOM_EXACT_CEILING"
 
 
-def _env_int(name, default):
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise GraphError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _checked(convert, ok, wanted):
     """An argparse type: convert the text and accept it only if ok(value)."""
 
@@ -91,6 +83,13 @@ def _checked(convert, ok, wanted):
 # class answers (nan fails the comparison)
 _unit_interval = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+# (argument, environment variable, library default) of each ceiling flag; an
+# absent flag falls back to the variable, then to the default
+_CEILINGS = (
+    ("width_ceiling", ENV_WIDTH_CEILING, DEFAULT_WIDTH_CEILING),
+    ("exact_ceiling", ENV_EXACT_CEILING, DEFAULT_CEILING),
+)
 
 
 def _read_input(path):
@@ -224,10 +223,7 @@ def cmd_oracle(args):
         return _report(args, g, "oracle", value, cert)
     targets = 0
     if args.set:
-        try:
-            ids = [int(v) for v in args.set.split(",")]
-        except ValueError:
-            raise GraphError(f"--set expects comma-separated ids, got {args.set!r}") from None
+        ids = parse_ints(args.set.split(","), what="comma-separated ids for --set")
         if not all(0 <= v < g.n for v in ids):
             raise GraphError(f"--set names a vertex outside 0..{g.n - 1}")
         targets = mask_from(ids)
@@ -424,7 +420,9 @@ class _Parser(argparse.ArgumentParser):
         raise GraphError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process on first use."""
     parser = _Parser(
         prog="indom",
         description="independence-domination number solvers",
@@ -443,11 +441,9 @@ def build_parser():
     p.add_argument("--diagram", help="permutation diagram file")
     p.add_argument("--cotree", help="cotree file")
     p.add_argument("--td", help="tree decomposition file")
-    p.add_argument("--width-ceiling", type=int,
-                   default=_env_int(ENV_WIDTH_CEILING, DEFAULT_WIDTH_CEILING))
+    p.add_argument("--width-ceiling", type=_non_negative)
     p.add_argument("--beta", type=_unit_interval, default=DEFAULT_BETA)
-    p.add_argument("--exact-ceiling", type=_non_negative,
-                   default=_env_int(ENV_EXACT_CEILING, DEFAULT_CEILING))
+    p.add_argument("--exact-ceiling", type=_non_negative)
     p.set_defaults(func=cmd_gamma_i)
 
     p = sub.add_parser("oracle", help="brute-force reference values")
@@ -459,16 +455,14 @@ def build_parser():
     p = sub.add_parser("exact", help="exponential-time exact solver")
     add_common(p)
     p.add_argument("--beta", type=_unit_interval, default=DEFAULT_BETA)
-    p.add_argument("--exact-ceiling", type=_non_negative,
-                   default=_env_int(ENV_EXACT_CEILING, DEFAULT_CEILING))
+    p.add_argument("--exact-ceiling", type=_non_negative)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("ptas", help="shifting scheme for planar inputs")
     add_common(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--root", type=int, default=None)
-    p.add_argument("--width-ceiling", type=int,
-                   default=_env_int(ENV_WIDTH_CEILING, DEFAULT_WIDTH_CEILING))
+    p.add_argument("--width-ceiling", type=_non_negative)
     p.set_defaults(func=cmd_ptas)
 
     p = sub.add_parser("gen", help="generate a graph (and side artifact)")
@@ -493,10 +487,23 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv=None):
+    """Arguments of one command, with each absent ceiling flag resolved."""
+    args = build_parser().parse_args(argv)
+    for dest, env, default in _CEILINGS:
+        if getattr(args, dest, default) is not None:
+            continue
+        value = os.environ.get(env)
+        try:
+            setattr(args, dest, _non_negative(value) if value else default)
+        except argparse.ArgumentTypeError as exc:
+            raise GraphError(f"{env} {exc}") from None
+    return args
+
+
 def main(argv=None):
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (GraphError, OSError) as exc:
         _emit({"error": str(exc)})

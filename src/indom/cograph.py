@@ -19,6 +19,8 @@ from .graph import (
     connected_components,
     mask_from,
     mask_to_list,
+    parse_ints,
+    read_lines,
 )
 from .oracle import DominationCertificate
 
@@ -296,11 +298,7 @@ def parse_cotree(text: str) -> Cotree:
     nodes = {}
     root_id = None
     n_leaves = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in read_lines(text):
         if len(parts) < 4 or parts[0] != "node":
             raise FormatError("expected 'node <id> <parent> <LABEL> [vertex]'", lineno)
         label = _LABELS.get(parts[3])
@@ -308,12 +306,9 @@ def parse_cotree(text: str) -> Cotree:
             raise FormatError(f"unknown label {parts[3]!r}", lineno)
         if label == LEAF and len(parts) != 5:
             raise FormatError("leaf line needs a vertex", lineno)
-        try:
-            node_id = int(parts[1])
-            parent_id = None if parts[2] == "-" else int(parts[2])
-            vertex = int(parts[4]) if label == LEAF else None
-        except ValueError:
-            raise FormatError("node ids and vertices must be integers", lineno) from None
+        node_id = parse_ints(parts[1:2], lineno)[0]
+        parent_id = None if parts[2] == "-" else parse_ints(parts[2:3], lineno)[0]
+        vertex = parse_ints(parts[4:5], lineno)[0] if label == LEAF else None
         if label == LEAF:
             node = CotreeNode(LEAF, vertex=vertex)
             n_leaves += 1

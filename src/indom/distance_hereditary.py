@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, FormatError, bits
+from .graph import Graph, GraphError, FormatError, bits, parse_ints, read_lines
 from .oracle import DominationCertificate, INF
 from .cograph import ClassMismatchError
 
@@ -133,17 +133,11 @@ def serialize_sequence(seq: PruningSequence) -> str:
 
 def parse_sequence(text: str) -> PruningSequence:
     ops = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in read_lines(text):
         if len(parts) != 3 or parts[0] not in (PENDANT, TRUE_TWIN, FALSE_TWIN):
             raise FormatError("expected 'pendant|ttwin|ftwin v u'", lineno)
-        try:
-            ops.append(PruneOp(parts[0], int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise FormatError("vertex ids must be integers", lineno)
+        v, u = parse_ints(parts[1:], lineno)
+        ops.append(PruneOp(parts[0], v, u))
     n = len(ops) + 1
     ids = {op.v for op in ops} | ({ops[-1].u} if ops else {0})
     if ids != set(range(n)):

@@ -130,14 +130,6 @@ def dominates(g: Graph, d: Iterable[int] | int, b: Iterable[int] | int) -> bool:
     return b & ~cover == 0
 
 
-def closed_neighborhood(g: Graph, s: Iterable[int] | int) -> int:
-    s = mask_from(s)
-    out = 0
-    for v in bits(s):
-        out |= g.closed[v]
-    return out
-
-
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     h = Graph.__new__(Graph)
@@ -208,10 +200,6 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * h.n, edges)
 
 
-def product_index(h: Graph, a: int, b: int) -> int:
-    return a * h.n + b
-
-
 def product_pair(h: Graph, index: int) -> tuple[int, int]:
     """Row-major product index back to its (g-vertex, h-vertex) pair."""
     return divmod(index, h.n)
@@ -238,92 +226,73 @@ def edge_clique_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
 
 # --- text formats -----------------------------------------------------------
 #
-# edge-list: first non-comment line "n m", then m lines "u v" (0-based).
+# edge-list: first line "n m", then m lines "u v" (0-based).
 # DIMACS-like: "p <n> <m>" header, then "e u v" lines (0-based).
-# '#' starts a comment in edge-list files, 'c' lines are DIMACS comments.
+# Every text parser of the package reads its lines through read_lines and
+# its integers through parse_ints: '#' starts a comment anywhere in every
+# format, DIMACS and PACE files also skip 'c' lines.
 
 EDGE_LIST = "edge-list"
 DIMACS = "dimacs"
 
 
-def _content_lines(text, comment_prefixes):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or any(line.startswith(p) for p in comment_prefixes):
-            continue
-        yield lineno, line
+def read_lines(text: str, c_comments: bool = False) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) for each line with content; '#' starts a
+    comment, and with c_comments so does a leading 'c' (DIMACS and PACE)."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.partition("#")[0].split()
+        if tokens and not (c_comments and tokens[0][0] == "c"):
+            yield lineno, tokens
+
+
+def parse_ints(tokens: list[str], line: int | None = None, what: str = "integers") -> list[int]:
+    """Tokens as ints; a token that is not one is a FormatError for the line."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise FormatError(f"expected {what}, got {' '.join(tokens)!r}", line) from None
 
 
 def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
-    if fmt == EDGE_LIST:
-        return _parse_edge_list(text)
-    if fmt == DIMACS:
-        return _parse_dimacs(text)
-    raise FormatError(f"unknown format {fmt!r}")
-
-
-def _parse_edge_list(text):
-    n = None
-    m = None
+    """Graph from edge-list or DIMACS text; the two differ only in the header
+    and edge syntax."""
+    if fmt not in (EDGE_LIST, DIMACS):
+        raise FormatError(f"unknown format {fmt!r}")
+    dimacs = fmt == DIMACS
+    edge_syntax = "'e u v'" if dimacs else "edge 'u v'"
+    n = m = None
     edges = []
-    for lineno, line in _content_lines(text, ("#",)):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2:
+    for lineno, tokens in read_lines(text, c_comments=dimacs):
+        if dimacs:
+            directive, *tokens = tokens
+            if directive == "p":
+                if n is not None:
+                    raise FormatError("duplicate 'p' header", lineno)
+                # accept both "p n m" and "p <name> n m"
+                nums = [t for t in tokens if t.lstrip("-").isdigit()]
+                if len(nums) < 2:
+                    raise FormatError("expected 'p <n> <m>'", lineno)
+                n = parse_ints(nums[-2:-1], lineno)[0]
+                continue
+            if directive != "e":
+                raise FormatError(f"unknown directive {directive!r}", lineno)
+            if n is None:
+                raise FormatError("edge before 'p' header", lineno)
+        elif n is None:
+            if len(tokens) != 2:
                 raise FormatError("expected header 'n m'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError("expected integer header 'n m'", lineno)
+            n, m = parse_ints(tokens, lineno)
             continue
-        if len(parts) != 2:
-            raise FormatError("expected edge 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError("expected integer edge 'u v'", lineno)
+        if len(tokens) != 2:
+            raise FormatError(f"expected {edge_syntax}", lineno)
+        u, v = parse_ints(tokens, lineno)
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"bad edge ({u}, {v}) for n={n}", lineno)
         edges.append((u, v))
     if n is None:
-        raise FormatError("empty input: missing 'n m' header")
+        raise FormatError("missing 'p' header" if dimacs else "empty input: missing 'n m' header")
     if m is not None and len(edges) != m:
         raise FormatError(f"header declared {m} edges, found {len(edges)}")
-    return Graph(n, edges)
-
-
-def _parse_dimacs(text):
-    n = None
-    edges = []
-    for lineno, line in _content_lines(text, ("c",)):
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise FormatError("duplicate 'p' header", lineno)
-            # accept both "p n m" and "p <name> n m"
-            nums = [p for p in parts[1:] if p.lstrip("-").isdigit()]
-            if len(nums) < 2:
-                raise FormatError("expected 'p <n> <m>'", lineno)
-            n = int(nums[-2])
-        elif parts[0] == "e":
-            if n is None:
-                raise FormatError("edge before 'p' header", lineno)
-            if len(parts) != 3:
-                raise FormatError("expected 'e u v'", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError("expected integer edge", lineno)
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"bad edge ({u}, {v}) for n={n}", lineno)
-            edges.append((u, v))
-        else:
-            raise FormatError(f"unknown directive {parts[0]!r}", lineno)
-    if n is None:
-        raise FormatError("missing 'p' header")
     return Graph(n, edges)
 
 

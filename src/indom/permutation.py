@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, FormatError, bits, mask_to_list
+from .graph import Graph, GraphError, FormatError, bits, mask_to_list, parse_ints, read_lines
 from .oracle import DominationCertificate
 
 
@@ -43,10 +43,6 @@ class PermutationDiagram:
     def left_of(self, i, j):
         """Segment i entirely left of (parallel to) segment j."""
         return self.top[i] < self.top[j] and self.bot[i] < self.bot[j]
-
-    def rank(self, v):
-        """Rightmost endpoint of v; orders the candidate covering vertices."""
-        return (max(self.top[v], self.bot[v]), self.top[v], v)
 
     def mirror(self):
         n = self.n
@@ -214,18 +210,15 @@ def serialize_diagram(d: PermutationDiagram) -> str:
 
 
 def parse_diagram(text: str) -> PermutationDiagram:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    lines = list(read_lines(text))
     if len(lines) != 3:
         raise FormatError("expected 3 lines: n, top positions, bottom positions")
-    try:
-        n = int(lines[0])
-        top = tuple(int(t) for t in lines[1].split())
-        bot = tuple(int(b) for b in lines[2].split())
-    except ValueError:
-        raise FormatError("diagram lines must be integers")
-    if len(top) != n or len(bot) != n:
-        raise FormatError(f"expected {n} positions per line")
-    return PermutationDiagram(n, top, bot)
+    rows = [parse_ints(tokens, line) for line, tokens in lines]
+    n = rows[0][0]
+    for (line, _), row, wanted in zip(lines, rows, (1, n, n)):
+        if len(row) != wanted:
+            raise FormatError(f"line holds {len(row)} integers, expected {wanted}", line)
+    return PermutationDiagram(n, tuple(rows[1]), tuple(rows[2]))
 
 
 def cotree_to_diagram(t) -> PermutationDiagram:

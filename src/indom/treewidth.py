@@ -23,7 +23,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .graph import MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from, mask_to_list
+from .graph import (MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from,
+                    mask_to_list, parse_ints, read_lines)
 from .oracle import DominationCertificate
 
 DEFAULT_WIDTH_CEILING = 12
@@ -477,10 +478,7 @@ def serialize_decomposition(td: TreeDecomposition) -> str:
 
 def _ids(tokens, first, lineno):
     """Tokens as 0-based ids; ids in the file start at `first`."""
-    try:
-        ids = [int(t) - first for t in tokens]
-    except ValueError:
-        raise FormatError(f"expected integers, got {' '.join(tokens)!r}", lineno) from None
+    ids = [i - first for i in parse_ints(tokens, lineno)]
     if any(i < 0 for i in ids):
         raise FormatError(f"ids start at {first}", lineno)
     return ids
@@ -491,11 +489,7 @@ def parse_decomposition(text: str) -> TreeDecomposition:
     first = 0
     bags = {}
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in read_lines(text, c_comments=True):
         if parts[0] == "s":
             if header is not None:
                 raise FormatError("duplicate 's' header", lineno)

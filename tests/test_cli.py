@@ -183,6 +183,26 @@ class TestEnvCeilings:
         assert code == 2
         assert name in reports[0]["error"]
 
+    @pytest.mark.parametrize("name, command", [
+        ("INDOM_EXACT_CEILING", "gamma-i"), ("INDOM_EXACT_CEILING", "exact"),
+        ("INDOM_WIDTH_CEILING", "gamma-i"), ("INDOM_WIDTH_CEILING", "ptas"),
+    ])
+    def test_negative_env_is_a_json_error(self, tmp_path, capsys, monkeypatch, name, command):
+        # C4 is a cograph, so gamma-i never reaches a ceiling
+        monkeypatch.setenv(name, "-3")
+        target = write_graph(tmp_path, cycle(4))
+        extra = ["--epsilon", "0.5"] if command == "ptas" else []
+        code, reports = run(capsys, [command, target, *extra])
+        assert code == 2
+        assert len(reports) == 1 and name in reports[0]["error"]
+
+    def test_flag_wins_over_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("INDOM_WIDTH_CEILING", "1")
+        target = write_graph(tmp_path, cycle(5))
+        code, reports = run(capsys, ["gamma-i", target, "--width-ceiling", "2"])
+        assert code == 0
+        assert reports[0]["algorithm"] == "treewidth"
+
 
 class TestBadFlags:
     def test_argparse_type_error_is_a_json_error(self, tmp_path, capsys):

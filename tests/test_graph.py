@@ -20,8 +20,21 @@ from indom import (
     parse,
     serialize,
 )
+from indom.cograph import cotree_to_graph, parse_cotree, serialize_cotree
+from indom.distance_hereditary import parse_sequence, serialize_sequence
 from indom.oracle import gamma
-from indom.generators import complete_multipartite, cycle, gnp, path
+from indom.generators import (
+    complete_multipartite,
+    cycle,
+    gnp,
+    grid,
+    path,
+    random_cograph,
+    random_dh,
+    random_permutation,
+)
+from indom.permutation import parse_diagram, serialize_diagram
+from indom.treewidth import heuristic_decomposition, parse_decomposition, serialize_decomposition
 
 
 def c4():
@@ -174,6 +187,30 @@ class TestEdgeCliqueGraph:
         assert gamma(ke)[0] == 3
 
 
+_cographs = [random_cograph(9, seed) for seed in range(3)]
+_dh = [random_dh(9, seed) for seed in range(3)]
+_permutations = [random_permutation(9, seed) for seed in range(3)]
+_graphs = ([gnp(8, 0.4, seed) for seed in range(5)] + [grid(3, 4), grid(2, 5)]
+           + [made.graph for made in _cographs + _dh + _permutations])
+
+# format -> (parser, serializer, generated objects of every family); two
+# cotrees are compared through their graphs, as CotreeNode has no __eq__
+FORMATS = {
+    "edge-list": (lambda text: parse(text, "edge-list"), lambda g: serialize(g, "edge-list"),
+                  _graphs),
+    "dimacs": (lambda text: parse(text, "dimacs"), lambda g: serialize(g, "dimacs"), _graphs),
+    "cotree": (parse_cotree, serialize_cotree, [made.artifact for made in _cographs]),
+    "sequence": (parse_sequence, serialize_sequence, [made.artifact for made in _dh]),
+    "diagram": (parse_diagram, serialize_diagram, [made.artifact for made in _permutations]),
+    "decomposition": (parse_decomposition, serialize_decomposition,
+                      [heuristic_decomposition(g) for g in _graphs]),
+}
+
+
+def _comparable(fmt, x):
+    return cotree_to_graph(x) if fmt == "cotree" else x
+
+
 class TestFormats:
     def test_dimacs_k2(self):
         g = parse("p 2 1\ne 0 1\n", "dimacs")
@@ -184,11 +221,42 @@ class TestFormats:
             g = gnp(8, 0.4, seed)
             for fmt in ("edge-list", "dimacs"):
                 assert serialize(parse(serialize(g, fmt), fmt), fmt) == serialize(g, fmt)
+        for fmt, (parser, serializer, objects) in FORMATS.items():
+            for x in objects:
+                assert _comparable(fmt, parser(serializer(x))) == _comparable(fmt, x), fmt
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_one_line_rule_in_every_format(self, fmt):
+        parser, serializer, objects = FORMATS[fmt]
+        lines = serializer(objects[0]).splitlines()
+        expected = _comparable(fmt, parser("\n".join(lines)))
+        # a non-integer token is an error on its own line
+        for k, line in enumerate(lines, start=1):
+            tokens = line.split()
+            for i, token in enumerate(tokens):
+                if token.lstrip("-").isdigit():
+                    bad = lines[:k - 1] + [" ".join(tokens[:i] + ["x"] + tokens[i + 1:])]
+                    with pytest.raises(FormatError) as err:
+                        parser("\n".join(bad + lines[k:]))
+                    assert err.value.line == k, (line, i)
+        # '#' starts a comment anywhere on a line
+        commented = ["  # note"] + [f"{line}  # comment" for line in lines] + ["\t# end"]
+        assert _comparable(fmt, parser("\n".join(commented))) == expected
+        # DIMACS and PACE files also skip 'c' lines
+        if fmt in ("dimacs", "decomposition"):
+            with_c = [f"c {line}" for line in lines] + lines + ["c end"]
+            assert _comparable(fmt, parser("\n".join(with_c))) == expected
 
     def test_bad_edge_reports_line(self):
         with pytest.raises(FormatError) as err:
             parse("p 2 1\ne 0 5\n", "dimacs")
         assert err.value.line == 2
+
+    def test_dimacs_header_digit_that_int_rejects(self):
+        # str.isdigit accepts "²", which int() does not
+        with pytest.raises(FormatError) as err:
+            parse("p \u00b2 3\n", "dimacs")
+        assert err.value.line == 1
 
     def test_edge_list_comments(self):
         g = parse("# a comment\n3 1\n0 2\n", "edge-list")

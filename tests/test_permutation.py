@@ -92,6 +92,10 @@ def brute_force_gamma_sets(d):
     ending in x contributes k at the rightmost covering neighbor of x."""
     g = diagram_to_graph(d)
     n = d.n
+
+    def rightmost(v):
+        return (max(d.top[v], d.bot[v]), d.top[v], v)
+
     table = {}
     for msk in range(1, 1 << n):
         if not is_independent(g, msk):
@@ -102,7 +106,7 @@ def brute_force_gamma_sets(d):
         for combo in itertools.combinations(range(n), k):
             gm = mask_from(combo)
             if dominates(g, gm, msk):
-                z = max(bits(gm & g.closed[x]), key=d.rank)
+                z = max(bits(gm & g.closed[x]), key=rightmost)
                 table[(x, z)] = table.get((x, z), 0) | (1 << k)
     return table
 
