@@ -476,7 +476,7 @@ def build_parser():
     p = sub.add_parser("verify", help="cross-validate a solver against the oracle")
     p.add_argument("--suite", required=True,
                    choices=["cograph", "dh", "permutation", "treewidth", "chordal", "exact"])
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_non_negative, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=12, help="maximum instance size")
     p.set_defaults(func=cmd_verify)

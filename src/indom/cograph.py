@@ -304,8 +304,10 @@ def parse_cotree(text: str) -> Cotree:
         label = _LABELS.get(parts[3])
         if label is None:
             raise FormatError(f"unknown label {parts[3]!r}", lineno)
-        if label == LEAF and len(parts) != 5:
-            raise FormatError("leaf line needs a vertex", lineno)
+        if len(parts) != (5 if label == LEAF else 4):
+            raise FormatError(
+                "a LEAF line ends with its vertex, a UNION or JOIN line with its label", lineno
+            )
         node_id = parse_ints(parts[1:2], lineno)[0]
         parent_id = None if parts[2] == "-" else parse_ints(parts[2:3], lineno)[0]
         vertex = parse_ints(parts[4:5], lineno)[0] if label == LEAF else None

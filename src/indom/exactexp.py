@@ -54,10 +54,11 @@ def maximum_matching_general(g: Graph) -> list[tuple[int, int]]:
     """Maximum matching in an arbitrary graph by blossom-contracting
     augmenting-path search, O(V^3)."""
     n = g.n
+    adj = [list(bits(r)) for r in g.row]  # the search rescans neighbors often
     match = [-1] * n
     for u in range(n):
         if match[u] == -1:
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if match[v] == -1:
                     match[u] = v
                     match[v] = u
@@ -96,7 +97,7 @@ def maximum_matching_general(g: Graph) -> list[tuple[int, int]]:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in g.adj[v]:
+            for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):

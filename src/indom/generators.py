@@ -166,27 +166,36 @@ def generate(descriptor: str, seed: int = 0) -> Generated:
     Class generators return their side artifact in ``Generated.artifact``.
     """
     name, args = _parse_descriptor(descriptor)
+
+    def numbers(*types):
+        if len(args) != len(types):
+            raise GraphError(f"{name} takes {len(types)} argument(s), got {len(args)}")
+        try:
+            return [convert(a) for convert, a in zip(types, args)]
+        except ValueError:
+            raise GraphError(f"bad number in descriptor {descriptor!r}") from None
+
     if name == "gnp":
-        n, p = int(args[0]), float(args[1])
+        n, p = numbers(int, float)
         return Generated(gnp(n, p, seed))
     if name == "path":
-        return Generated(path(int(args[0])))
+        return Generated(path(*numbers(int)))
     if name == "cycle":
-        return Generated(cycle(int(args[0])))
+        return Generated(cycle(*numbers(int)))
     if name == "star":
-        return Generated(star(int(args[0])))
+        return Generated(star(*numbers(int)))
     if name == "grid":
-        return Generated(grid(int(args[0]), int(args[1])))
+        return Generated(grid(*numbers(int, int)))
     if name == "complete_multipartite":
-        return Generated(complete_multipartite([int(a) for a in args]))
+        return Generated(complete_multipartite(numbers(*[int] * len(args))))
     if name == "random_cograph":
-        return random_cograph(int(args[0]), seed)
+        return random_cograph(*numbers(int), seed)
     if name == "random_chordal":
-        return Generated(random_chordal(int(args[0]), seed))
+        return Generated(random_chordal(*numbers(int), seed))
     if name == "random_dh":
-        return random_dh(int(args[0]), seed)
+        return random_dh(*numbers(int), seed)
     if name == "random_permutation":
-        return random_permutation(int(args[0]), seed)
+        return random_permutation(*numbers(int), seed)
     raise GraphError(f"unknown generator {name!r}")
 
 

@@ -2,6 +2,7 @@
 
 Vertex sets are plain Python ints used as bit masks over 0..n-1, so all
 set operations (union, intersection, domination checks) are word-parallel.
+A graph is stored only as such masks, one row of neighbors per vertex.
 Helpers below convert between masks and vertex lists.
 """
 
@@ -49,14 +50,14 @@ def mask_to_list(mask: int) -> list[int]:
 
 
 class Graph:
-    """Simple undirected graph with dual adjacency representation.
+    """Simple undirected graph stored as its bit rows.
 
-    ``adj[v]`` is a sorted tuple of neighbors, ``row[v]`` the same set as a
-    bit mask and ``closed[v]`` the closed neighborhood ``row[v] | 1 << v``.
-    Instances are immutable after construction and safe to share.
+    ``row[v]`` is the neighbor set of v as a bit mask and ``closed[v]`` the
+    closed neighborhood ``row[v] | 1 << v``; edges and degrees are read from
+    the rows. Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("n", "adj", "row", "closed", "m")
+    __slots__ = ("n", "row", "closed", "m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0 or n > MAX_VERTICES:
@@ -71,13 +72,17 @@ class Graph:
             rows[v] |= 1 << u
         self._set_rows(rows)
 
+    @classmethod
+    def _from_rows(cls, rows: Iterable[int]) -> Graph:
+        """Graph on symmetric, loop-free adjacency masks, taken unchecked."""
+        g = cls.__new__(cls)
+        g._set_rows(rows)
+        return g
+
     def _set_rows(self, rows):
-        """Derive every view from the adjacency masks, which must be symmetric
-        and loop-free; no check is made."""
         rows = tuple(rows)
         self.n = len(rows)
         self.row = rows
-        self.adj = tuple(tuple(bits(r)) for r in rows)
         self.closed = tuple(r | (1 << v) for v, r in enumerate(rows))
         self.m = sum(r.bit_count() for r in rows) // 2
 
@@ -86,13 +91,12 @@ class Graph:
         return (1 << self.n) - 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        for u, r in enumerate(self.row):
+            for v in bits(r >> u + 1 << u + 1):
+                yield (u, v)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.row[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.row[u] >> v & 1)
@@ -132,9 +136,7 @@ def dominates(g: Graph, d: Iterable[int] | int, b: Iterable[int] | int) -> bool:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    h = Graph.__new__(Graph)
-    h._set_rows(full & ~c for c in g.closed)
-    return h
+    return Graph._from_rows(full & ~c for c in g.closed)
 
 
 def induced_subgraph(g: Graph, s: Iterable[int] | int) -> tuple[Graph, list[int]]:
@@ -142,12 +144,8 @@ def induced_subgraph(g: Graph, s: Iterable[int] | int) -> tuple[Graph, list[int]
     s = mask_from(s)
     old = mask_to_list(s)
     index = {v: i for i, v in enumerate(old)}
-    edges = []
-    for v in old:
-        for w in bits(g.row[v] & s):
-            if v < w:
-                edges.append((index[v], index[w]))
-    return Graph(len(old), edges), old
+    rows = (mask_from(index[w] for w in bits(g.row[v] & s)) for v in old)
+    return Graph._from_rows(rows), old
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
@@ -227,7 +225,7 @@ def edge_clique_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
 # --- text formats -----------------------------------------------------------
 #
 # edge-list: first line "n m", then m lines "u v" (0-based).
-# DIMACS-like: "p <n> <m>" header, then "e u v" lines (0-based).
+# DIMACS-like: "p [name] <n> <m>" header, then m lines "e u v" (0-based).
 # Every text parser of the package reads its lines through read_lines and
 # its integers through parse_ints: '#' starts a comment anywhere in every
 # format, DIMACS and PACE files also skip 'c' lines.
@@ -254,46 +252,48 @@ def parse_ints(tokens: list[str], line: int | None = None, what: str = "integers
 
 
 def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
-    """Graph from edge-list or DIMACS text; the two differ only in the header
-    and edge syntax."""
+    """Graph from edge-list or DIMACS text, which differ only in the header
+    and edge syntax; each edge is checked and stored as it is read."""
     if fmt not in (EDGE_LIST, DIMACS):
         raise FormatError(f"unknown format {fmt!r}")
     dimacs = fmt == DIMACS
-    edge_syntax = "'e u v'" if dimacs else "edge 'u v'"
-    n = m = None
-    edges = []
+    header_syntax, edge_syntax = ("'p [name] n m'", "'e u v'") if dimacs else ("'n m'", "'u v'")
+    rows = None
+    count = 0
     for lineno, tokens in read_lines(text, c_comments=dimacs):
         if dimacs:
             directive, *tokens = tokens
             if directive == "p":
-                if n is not None:
+                if rows is not None:
                     raise FormatError("duplicate 'p' header", lineno)
-                # accept both "p n m" and "p <name> n m"
-                nums = [t for t in tokens if t.lstrip("-").isdigit()]
-                if len(nums) < 2:
-                    raise FormatError("expected 'p <n> <m>'", lineno)
-                n = parse_ints(nums[-2:-1], lineno)[0]
-                continue
-            if directive != "e":
+                if len(tokens) == 3 and not tokens[0].lstrip("-").isdigit():
+                    tokens = tokens[1:]  # the name in "p <name> n m"
+            elif directive != "e":
                 raise FormatError(f"unknown directive {directive!r}", lineno)
-            if n is None:
+            elif rows is None:
                 raise FormatError("edge before 'p' header", lineno)
-        elif n is None:
+        if rows is None:
             if len(tokens) != 2:
-                raise FormatError("expected header 'n m'", lineno)
+                raise FormatError(f"expected header {header_syntax}", lineno)
             n, m = parse_ints(tokens, lineno)
+            if not 0 <= n <= MAX_VERTICES:
+                raise FormatError(f"vertex count {n} out of range 0..{MAX_VERTICES}", lineno)
+            rows = [0] * n
+            header = lineno
             continue
         if len(tokens) != 2:
-            raise FormatError(f"expected {edge_syntax}", lineno)
+            raise FormatError(f"expected edge {edge_syntax}", lineno)
         u, v = parse_ints(tokens, lineno)
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"bad edge ({u}, {v}) for n={n}", lineno)
-        edges.append((u, v))
-    if n is None:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        count += 1
+    if rows is None:
         raise FormatError("missing 'p' header" if dimacs else "empty input: missing 'n m' header")
-    if m is not None and len(edges) != m:
-        raise FormatError(f"header declared {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    if count != m:
+        raise FormatError(f"header declared {m} edges, found {count}", header)
+    return Graph._from_rows(rows)
 
 
 def serialize(g: Graph, fmt: str = EDGE_LIST) -> str:

@@ -54,7 +54,7 @@ def bfs_layering(g: Graph, roots) -> Layering:
         depth += 1
         nxt = []
         for v in frontier:
-            for w in g.adj[v]:
+            for w in bits(g.row[v]):
                 if level[w] < 0:
                     level[w] = depth
                     nxt.append(w)
@@ -142,7 +142,8 @@ def ptas_gamma_i(
         local_root = ids.index(comp_root)
         layering = bfs_layering(sub, 1 << local_root)
         best = None
-        for ell in range(1, k + 1):
+        # every shift above level_count + 1 deletes no level, as that one does
+        for ell in range(1, min(k, layering.level_count + 1) + 1):
             piece_value = 0
             piece, piece_ids = shifted_subgraph(sub, layering, k, ell)
             options = []  # per piece component: candidate A masks in g's ids

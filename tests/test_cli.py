@@ -309,6 +309,15 @@ class TestGen:
         assert code == 0
         assert reports[0]["value"] == gamma_i_oracle(grid(3, 3))[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "gnp(x,0.3)"], ["gen", "grid(3)"], ["gen", "gnp(5)"], ["gen", "path(3,4)"],
+        ["gen", "complete_multipartite(2,)"], ["verify", "--suite", "cograph", "--count", "-4"],
+    ])
+    def test_bad_arguments_are_json_errors(self, capsys, argv):
+        code, reports = run(capsys, argv)
+        assert code == 2
+        assert len(reports) == 1 and "error" in reports[0]
+
     def test_artifact_written(self, tmp_path, capsys):
         code, _ = run(capsys, ["gen", "random_dh(7)", "--seed", "2",
                                "-o", str(tmp_path / "g.txt"),

@@ -162,3 +162,12 @@ class TestCotreeFormat:
         with pytest.raises(FormatError) as err:
             parse_cotree(text)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("line", [
+        "node 2 0 UNION junk 7", "node 2 0 JOIN 3", "node 2 0 LEAF 1 2",
+    ], ids=["union", "join", "leaf"])
+    def test_extra_tokens_report_their_line(self, line):
+        text = "node 0 - UNION\nnode 1 0 LEAF 0\n" + line + "\n"
+        with pytest.raises(FormatError) as err:
+            parse_cotree(text)
+        assert err.value.line == 3

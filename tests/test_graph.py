@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -45,7 +46,7 @@ class TestBuild:
     def test_c4(self):
         g = c4()
         assert g.n == 4 and g.m == 4
-        assert g.adj[0] == (1, 3)
+        assert list(bits(g.row[0])) == [1, 3]
 
     def test_single_vertex(self):
         g = build_graph(1, [])
@@ -261,3 +262,56 @@ class TestFormats:
     def test_edge_list_comments(self):
         g = parse("# a comment\n3 1\n0 2\n", "edge-list")
         assert g.has_edge(0, 2)
+
+    @pytest.mark.parametrize("fmt,header", [
+        ("edge-list", "{n} 0"), ("dimacs", "p {n} 0"), ("dimacs", "p edge {n} 0"),
+    ])
+    @pytest.mark.parametrize("n", [-1, 4_000_001])
+    def test_header_vertex_count_out_of_range(self, fmt, header, n):
+        with pytest.raises(FormatError, match="vertex count") as err:
+            parse(header.format(n=n) + "\n", fmt)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("header", ["p 3 2 7", "p 3 x 2", "p edge col 3 2", "p edge 3"])
+    def test_dimacs_header_is_n_m_after_an_optional_name(self, header):
+        assert parse("p edge 3 1\ne 0 1\n", "dimacs") == parse("p 3 1\ne 0 1\n", "dimacs")
+        with pytest.raises(FormatError) as err:
+            parse(header + "\ne 0 1\ne 1 2\n", "dimacs")
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("text,fmt,line", [
+        ("3 99\n0 1\n", "edge-list", 1),
+        ("p 3 99\ne 0 1\n", "dimacs", 1),
+        ("c x\np 3 0\ne 0 1\n", "dimacs", 2),
+        ("p edge 3 2\ne 0 1\n", "dimacs", 1),
+    ])
+    def test_header_edge_count_must_match(self, text, fmt, line):
+        with pytest.raises(FormatError, match="header declared") as err:
+            parse(text, fmt)
+        assert err.value.line == line
+
+
+def _induced_edges(g, s):
+    """Edges of g inside the mask s, renumbered in increasing order of s."""
+    index = {v: i for i, v in enumerate(mask_to_list(s))}
+    return [(index[u], index[v]) for u, v in g.edges() if s >> u & 1 and s >> v & 1]
+
+
+def test_rows_agree_with_edge_lists():
+    rng = random.Random(6)
+    graphs = [gnp(n, rng.choice((0.1, 0.3, 0.6)), rng.randrange(1000)) for n in range(41)]
+    graphs += [grid(r, c) for r in range(1, 7) for c in range(r, 7)]
+    graphs += [random_cograph(n, n).graph for n in range(1, 41, 3)]
+    graphs += [random_dh(n, n).graph for n in range(1, 41, 3)]
+    for g in graphs:
+        for fmt in ("edge-list", "dimacs"):
+            assert parse(serialize(g, fmt), fmt) == g
+        assert complement(complement(g)) == g
+        edges = list(g.edges())
+        assert edges == sorted({(min(u, v), max(u, v)) for u in range(g.n) for v in bits(g.row[u])})
+        assert len(edges) == g.m and all(g.degree(v) == g.row[v].bit_count() for v in range(g.n))
+        for _ in range(3):
+            s = rng.getrandbits(g.n)
+            sub, ids = induced_subgraph(g, s)
+            assert ids == mask_to_list(s)
+            assert sub == Graph(len(ids), _induced_edges(g, s))

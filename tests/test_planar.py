@@ -88,6 +88,14 @@ class TestPtas:
             res = ptas_gamma_i(g, 0.01)
             assert res.value == oracle
 
+    def test_each_distinct_shift_is_tried_once(self):
+        # levels 0..2: shifts 1..3 delete one level each, and every later
+        # shift deletes none, as shift 4 does; k = 10^9 must not loop 10^9 times
+        g = path(3)
+        res = ptas_gamma_i(g, 1e-9)
+        assert res.value == gamma_i_oracle(g)[0]
+        assert sorted(ell for _, ell in res.certified_values) == [1, 2, 3, 4]
+
     def test_piece_overshoot_is_logged_not_reported(self):
         # deleting the middle of a path strands endpoints; raw piece values
         # may exceed the true answer while the reported value never does
