@@ -73,6 +73,7 @@ from .permutation import (
 from .treewidth import (
     TreeDecomposition,
     CapacityError,
+    DPStats,
     validate_decomposition,
     heuristic_decomposition,
     make_nice,

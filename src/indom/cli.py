@@ -52,6 +52,7 @@ from .permutation import diagram_to_graph, gamma_i_permutation, parse_diagram
 from .treewidth import (
     DEFAULT_WIDTH_CEILING,
     CapacityError,
+    DPStats,
     gamma_i_treewidth,
     heuristic_decomposition,
     parse_decomposition,
@@ -179,9 +180,11 @@ def _dispatch_gamma_i(g, args, cotree, diagram, td):
         raise GraphError("permutation solver needs --diagram (recognition is out of scope)")
     if algo in ("auto", "treewidth"):
         decomposition = td if td is not None else heuristic_decomposition(g)
+        stats = DPStats()
         try:
-            value, cert = gamma_i_treewidth(g, decomposition, args.width_ceiling)
-            return "treewidth", value, cert, {"width": decomposition.width}
+            value, cert = gamma_i_treewidth(g, decomposition, args.width_ceiling, stats)
+            return "treewidth", value, cert, {"width": decomposition.width,
+                                              "stats": stats.as_dict()}
         except CapacityError:
             if algo == "treewidth":
                 raise

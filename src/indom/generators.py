@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError
+from .graph import MAX_VERTICES, Graph, GraphError
 from .cograph import Cotree, CotreeNode, LEAF, UNION, JOIN, cotree_to_graph
 from .distance_hereditary import (
     PENDANT,
@@ -31,7 +31,14 @@ class Generated:
     artifact: object = None
 
 
+def _check_vertex_count(n: int) -> None:
+    """Raise before any edge of an oversized graph is drawn or built."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
+
+
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
+    _check_vertex_count(n)
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -56,6 +63,9 @@ def star(n: int) -> Graph:
 
 def grid(rows: int, cols: int) -> Graph:
     """rows x cols grid, row-major vertex ids."""
+    if rows < 0 or cols < 0:
+        raise GraphError(f"grid sides {rows}x{cols} must not be negative")
+    _check_vertex_count(rows * cols)
     edges = []
     for r in range(rows):
         for c in range(cols):

@@ -13,15 +13,21 @@ size with different domination costs would be merged.
 Tables are closed under white subsets: with (dm, w), every (dm, w') with w'
 inside w is present at equal or lower cost. An entry reads "at least w
 dominated", a lookup is one dict access and equal cost functions have equal
-tables. Forget keeps the closure; introduce restores it with one pass over
-the bits it whitened; join pairs only disjoint white sets under equal
-D-patterns, as closure supplies every disjoint split of a union.
+tables. Forget keeps the closure. Introduce writes the closed table directly:
+as the child's table is closed, the entry for "at least w" after a new
+dominator v is the child's entry for w minus what v whitens, so each key is
+written once. Join pairs only disjoint white sets under equal D-patterns, as
+closure supplies every disjoint split of a union.
+
+Each item carries its members, the A-vertices of its whole subtree, so the
+root's best item names its independent set without a walk back down, and a
+node's tables can be dropped as soon as its parent is built.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import (MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from,
                     mask_to_list, parse_ints, read_lines)
@@ -136,6 +142,8 @@ def heuristic_decomposition(g: Graph, order: str = "fill") -> TreeDecomposition:
                 score = fill // 2
             if best_score is None or score < best_score:
                 best_v, best_score = v, score
+                if not score:
+                    break  # nothing scores lower, and the first minimum wins
         v = best_v
         nb = rows[v] & alive & ~(1 << v)
         bags.append(nb | (1 << v))
@@ -276,9 +284,24 @@ def bag_status(alpha: int, dmask: int, wmask: int, v: int) -> str:
 
 @dataclass(slots=True, eq=False)
 class _Item:
-    alpha: int
+    alpha: int  # A inside the bag
     table: dict
-    prov: tuple
+    members: int  # A in the whole subtree, forgotten vertices included
+
+
+@dataclass
+class DPStats:
+    """Size of one bag DP: items and table entries at the largest node, and
+    the most table entries live at once (a node's tables live until its
+    parent is built)."""
+
+    nice_nodes: int = 0
+    max_items: int = 0
+    max_entries: int = 0
+    peak_live_entries: int = 0
+
+    def as_dict(self):
+        return asdict(self)
 
 
 def _at_least(b, a):
@@ -309,50 +332,64 @@ def _merge_items(items):
     return out
 
 
-def _dp_items(g, nd):
-    done = {}
+def _dp_nodes(g, nd, stats=None):
+    """Yield (node index, items) for every nice node, children first. A
+    node's items are dropped once its parent is built, so only the tables
+    of the frontier stay live."""
+    if stats is None:
+        stats = DPStats()
+    stats.nice_nodes = len(nd.nodes)
+    live = {}
+    sizes = {}
+    live_entries = 0
     for idx, node in enumerate(nd.nodes):
+        kids = [live.pop(c) for c in node.children]
         if node.kind == LEAF:
-            items = [_Item(0, {(0, 0): 0}, ("leaf",))]
+            items = [_Item(0, {(0, 0): 0}, 0)]
         elif node.kind == INTRODUCE:
-            items = _introduce(g, node, done[node.children[0]])
+            items = _introduce(g, node, kids[0])
         elif node.kind == FORGET:
-            items = _forget(node, done[node.children[0]])
+            items = _forget(node, kids[0])
         else:
-            items = _join(done[node.children[0]], done[node.children[1]])
-        done[idx] = _merge_items(items)
-    return done
-
-
-def _close(table, mask):
-    """Add, for every bit of mask, each entry with that white bit dropped at
-    no higher cost; a table already closed under the other bits ends closed."""
-    for v in bits(mask):
-        vb = 1 << v
-        for (dm, wm), c in list(table.items()):
-            if wm & vb:
-                _upd(table, dm, wm ^ vb, c)
-    return table
+            items = _join(*kids)
+        live[idx] = items = _merge_items(items)
+        entries = sizes[idx] = sum(len(it.table) for it in items)
+        live_entries += entries
+        stats.max_items = max(stats.max_items, len(items))
+        stats.max_entries = max(stats.max_entries, entries)
+        stats.peak_live_entries = max(stats.peak_live_entries, live_entries)
+        for c in node.children:
+            live_entries -= sizes.pop(c)
+        yield idx, items
 
 
 def _introduce(g, node, child_items):
+    """Closed tables straight from closed child tables: the cheapest way to
+    reach "at least wm dominated" is the child entry for wm minus what v
+    dominates, so every key is written once and no minimum is taken."""
     v = node.vertex
     vb = 1 << v
     row = g.row[v]
     items = []
     for it in child_items:
         seen = row & it.alpha
-        table = {}
+        whitened = [0]  # every subset of seen
+        for u in bits(seen):
+            whitened += [b | 1 << u for b in whitened]
+        table = dict(it.table)
         for (dm, wm), c in it.table.items():
-            _upd(table, dm, wm, c)
-            _upd(table, dm | vb, wm | seen, c + 1)
-        items.append(_Item(it.alpha, _close(table, seen), ("intro", it, v, False)))
+            if not wm & seen:
+                for b in whitened:
+                    table[dm | vb, wm | b] = c + 1
+        items.append(_Item(it.alpha, table, it.members))
         if not seen:
             table = {}
             for (dm, wm), c in it.table.items():
-                _upd(table, dm, wm | (vb if dm & row else 0), c)
-                _upd(table, dm | vb, wm | vb, c + 1)
-            items.append(_Item(it.alpha | vb, _close(table, vb), ("intro", it, v, True)))
+                table[dm, wm] = c
+                if dm & row:
+                    table[dm, wm | vb] = c
+                table[dm | vb, wm] = table[dm | vb, wm | vb] = c + 1
+            items.append(_Item(it.alpha | vb, table, it.members | vb))
     return items
 
 
@@ -366,9 +403,12 @@ def _forget(node, child_items):
         for (dm, wm), c in it.table.items():
             if in_a and not (wm & vb):
                 continue  # a forgotten member of A must be dominated by now
-            _upd(table, dm & ~vb, wm & ~vb, c)
+            key = (dm & ~vb, wm & ~vb)
+            old = table.get(key)
+            if old is None or c < old:
+                table[key] = c
         if table:
-            items.append(_Item(it.alpha & ~vb, table, ("forget", it, v)))
+            items.append(_Item(it.alpha & ~vb, table, it.members))
     return items
 
 
@@ -387,48 +427,26 @@ def _join(items1, items2):
                 c1 -= dm.bit_count()  # both sides count the bag's dominators
                 for w2, c2 in by_d.get(dm, ()):
                     if not w1 & w2:
-                        _upd(table, dm, w1 | w2, c1 + c2)
+                        key = (dm, w1 | w2)
+                        old = table.get(key)
+                        if old is None or c1 + c2 < old:
+                            table[key] = c1 + c2
             if table:
-                items.append(_Item(it1.alpha, table, ("join", it1, it2)))
+                items.append(_Item(it1.alpha, table, it1.members | it2.members))
     return items
-
-
-def _upd(table, dm, wm, c):
-    key = (dm, wm)
-    if key not in table or table[key] > c:
-        table[key] = c
-
-
-def _walk_alpha(item):
-    mask = 0
-    stack = [item]
-    while stack:
-        it = stack.pop()
-        kind = it.prov[0]
-        if kind == "leaf":
-            continue
-        if kind == "intro":
-            _, child, v, in_a = it.prov
-            if in_a:
-                mask |= 1 << v
-            stack.append(child)
-        elif kind == "forget":
-            stack.append(it.prov[1])
-        else:
-            stack.append(it.prov[1])
-            stack.append(it.prov[2])
-    return mask
 
 
 def gamma_i_treewidth(
     g: Graph,
     td: TreeDecomposition | None = None,
     width_ceiling: int = DEFAULT_WIDTH_CEILING,
+    stats: DPStats | None = None,
 ):
     """Independence-domination number via a tree decomposition.
 
     The decomposition defaults to the min-fill heuristic; widths above the
-    ceiling are rejected rather than attempted.
+    ceiling are rejected rather than attempted. A given ``stats`` is filled
+    with the size of the DP.
     """
     if g.n == 0:
         return 0, DominationCertificate(0, 0, 0)
@@ -439,17 +457,11 @@ def gamma_i_treewidth(
     bad = validate_decomposition(g, td)
     if bad is not None:
         raise GraphError(f"invalid tree decomposition ({bad})")
-    nd = make_nice(td)
-    done = _dp_items(g, nd)
-    root_items = done[nd.root]
-    best_value = -1
-    best_item = None
-    for it in root_items:
-        c = it.table.get((0, 0))
-        if c is not None and c > best_value:
-            best_value = c
-            best_item = it
-    a_mask = _walk_alpha(best_item)
+    for _, root_items in _dp_nodes(g, make_nice(td), stats):
+        pass  # only the root's items are needed
+    best_item = max(root_items, key=lambda it: it.table[0, 0])
+    best_value = best_item.table[0, 0]
+    a_mask = best_item.members
     from .exactexp import gamma_of_independent_set_fast
 
     value, witness, _ = gamma_of_independent_set_fast(g, a_mask)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import indom
 from indom import cli, cograph
 from indom.cli import main
 from indom.generators import cycle, grid, path
@@ -42,6 +47,15 @@ class TestGammaI:
         assert reports[0]["value"] == 1
         stats = reports[0]["stats"]
         assert 0 <= stats["sets_cut"] <= stats["sets_enumerated"]
+
+    def test_treewidth_reports_dp_stats(self, tmp_path, capsys):
+        target = write_graph(tmp_path, grid(3, 4))
+        code, reports = run(capsys, ["gamma-i", target])
+        assert code == 0
+        assert reports[0]["algorithm"] == "treewidth"
+        stats = reports[0]["stats"]
+        assert set(stats) == {"nice_nodes", "max_items", "max_entries", "peak_live_entries"}
+        assert 0 < stats["max_items"] <= stats["max_entries"] <= stats["peak_live_entries"]
 
     def test_forced_class_mismatch(self, tmp_path, capsys):
         target = write_graph(tmp_path, path(4))
@@ -317,6 +331,16 @@ class TestGen:
         code, reports = run(capsys, argv)
         assert code == 2
         assert len(reports) == 1 and "error" in reports[0]
+
+    @pytest.mark.parametrize("descriptor", ["gnp(4000001,0)", "grid(2001,2000)", "grid(-3,2)"])
+    def test_oversized_generator_refused_before_building(self, descriptor):
+        # a separate process, so that building the edges first fails by timeout
+        env = dict(os.environ, PYTHONPATH=str(Path(indom.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "indom.cli", "gen", descriptor],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
 
     def test_artifact_written(self, tmp_path, capsys):
         code, _ = run(capsys, ["gen", "random_dh(7)", "--seed", "2",

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from indom import (
@@ -11,6 +13,7 @@ from indom import (
 )
 from indom.treewidth import (
     CapacityError,
+    DPStats,
     NiceDecomposition,
     TreeDecomposition,
     A_GRAY,
@@ -26,7 +29,8 @@ from indom.treewidth import (
     parse_decomposition,
     serialize_decomposition,
     validate_decomposition,
-    _dp_items,
+    _Item,
+    _dp_nodes,
 )
 from indom.oracle import gamma_i_oracle
 from indom.generators import cycle, gnp, grid, path, star
@@ -58,6 +62,39 @@ class TestValidate:
         assert "vertex 4" in bad.detail
 
 
+def _full_scan_decomposition(g, order):
+    """Elimination decomposition that scores every live vertex at each step."""
+    rows = list(g.row)
+    alive = g.full_mask
+    bags, elim_pos, elim_order = [], {}, []
+    for step in range(g.n):
+        scores = []
+        for v in bits(alive):
+            nb = rows[v] & alive & ~(1 << v)
+            if order == "degree":
+                scores.append((nb.bit_count(), v))
+            else:
+                fill = sum((nb & ~rows[u] & ~(1 << u)).bit_count() for u in bits(nb))
+                scores.append((fill // 2, v))
+        v = min(scores, key=lambda sv: sv[0])[1]
+        nb = rows[v] & alive & ~(1 << v)
+        bags.append(nb | (1 << v))
+        elim_pos[v] = step
+        elim_order.append(v)
+        for u in bits(nb):
+            rows[u] |= nb & ~(1 << u)
+        alive &= ~(1 << v)
+    edges, roots = [], []
+    for step, v in enumerate(elim_order):
+        rest = bags[step] & ~(1 << v)
+        if rest:
+            edges.append((step, elim_pos[min(bits(rest), key=lambda u: elim_pos[u])]))
+        else:
+            roots.append(step)
+    edges.extend(zip(roots, roots[1:]))
+    return bags, edges
+
+
 class TestHeuristic:
     def test_tree_gets_width_one(self):
         g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)])
@@ -84,6 +121,14 @@ class TestHeuristic:
             for order in ("fill", "degree"):
                 td = heuristic_decomposition(g, order)
                 assert validate_decomposition(g, td) is None
+
+    def test_same_decomposition_as_full_scan(self):
+        graphs = [gnp(3 + seed % 25, 0.05 + (seed % 7) * 0.06, seed) for seed in range(200)]
+        graphs += [grid(r, c) for r, c in [(1, 6), (2, 5), (3, 7), (4, 4), (5, 6)]]
+        for g in graphs:
+            for order in ("fill", "degree"):
+                td = heuristic_decomposition(g, order)
+                assert (td.bags, td.edges) == _full_scan_decomposition(g, order)
 
 
 class TestNiceForm:
@@ -209,7 +254,7 @@ class TestPerNodeTableOracle:
         for seed in range(8):
             g = gnp(5 + seed % 4, 0.35, seed)
             nd = make_nice(heuristic_decomposition(g))
-            done = _dp_items(g, nd)
+            done = dict(_dp_nodes(g, nd))
             verts = _subtree_vertices(nd)
             for idx, node in enumerate(nd.nodes):
                 by_alpha = {}
@@ -243,7 +288,7 @@ class TestClosedTables:
     def test_every_table_closed_and_no_item_dominated(self):
         for seed in range(30):
             g = gnp(5 + seed % 6, 0.3, seed)
-            done = _dp_items(g, make_nice(heuristic_decomposition(g)))
+            done = dict(_dp_nodes(g, make_nice(heuristic_decomposition(g))))
             for items in done.values():
                 for it in items:
                     for (dm, w), c in it.table.items():
@@ -254,6 +299,41 @@ class TestClosedTables:
                     for b in items:
                         if a is not b and a.alpha == b.alpha:
                             assert not _fn_at_least(a.table, b.table)
+
+
+def _items_reachable(obj):
+    """Items reachable from obj through its fields and plain containers."""
+    found, seen, stack = [], set(), gc.get_referents(obj)
+    while stack:
+        ref = stack.pop()
+        if id(ref) in seen:
+            continue
+        seen.add(id(ref))
+        if isinstance(ref, _Item):
+            found.append(ref)
+        elif isinstance(ref, (tuple, list, dict)):
+            stack.extend(gc.get_referents(ref))
+    return found
+
+
+class TestDroppedTables:
+    def test_no_item_refers_to_another(self):
+        leaf = _Item(0, {(0, 0): 0}, 0)  # an item held through a tuple is found
+        assert _items_reachable(_Item(0, {}, ("intro", leaf, 0, False))) == [leaf]
+        for seed in range(10):
+            g = gnp(6 + seed % 5, 0.3, seed)
+            for items in dict(_dp_nodes(g, make_nice(heuristic_decomposition(g)))).values():
+                for it in items:
+                    assert _items_reachable(it) == []
+
+    def test_peak_live_entries_below_total(self):
+        g = grid(4, 8)
+        nd = make_nice(heuristic_decomposition(g))
+        stats = DPStats()
+        sizes = [sum(len(it.table) for it in items) for _, items in _dp_nodes(g, nd, stats)]
+        assert stats.nice_nodes == len(nd.nodes) == len(sizes)
+        assert stats.max_entries == max(sizes)
+        assert stats.max_entries <= stats.peak_live_entries < sum(sizes)
 
 
 class TestDecompositionFormat:
