@@ -51,6 +51,7 @@ from .cograph import (
 from .distance_hereditary import (
     PruningSequence,
     DHFailure,
+    DHStats,
     DHDecomposition,
     recognize_dh,
     replay_sequence,

@@ -44,6 +44,7 @@ from .cograph import (
 )
 from .distance_hereditary import (
     DHFailure,
+    DHStats,
     build_dh_decomposition,
     gamma_i_dh,
     recognize_dh,
@@ -165,10 +166,11 @@ def _dispatch_gamma_i(g, args, cotree, diagram, td):
         if algo == "cograph":
             raise ClassMismatchError(f"not a cograph: induced path {tree.vertices}", witness=tree)
     if algo in ("auto", "dh"):
-        seq = recognize_dh(g)
+        stats = DHStats()
+        seq = recognize_dh(g, stats)
         if not isinstance(seq, DHFailure):
-            value, cert = gamma_i_dh(g, build_dh_decomposition(g, seq))
-            return "dh", value, cert, {}
+            value, cert = gamma_i_dh(g, build_dh_decomposition(g, seq), stats)
+            return "dh", value, cert, {"stats": stats.as_dict()}
         if algo == "dh":
             raise ClassMismatchError(
                 f"not distance-hereditary: stuck at vertex {seq.stuck_vertex}", witness=seq
@@ -310,8 +312,7 @@ def _verify_one(kind, size, seed):
         g = made.graph
     elif kind == "dh":
         made = generators.random_dh(size, seed)
-        decomp = build_dh_decomposition(made.graph, made.artifact)
-        value, cert = gamma_i_dh(made.graph, decomp)
+        value, cert = gamma_i_dh(made.graph)
         expected, _ = gamma_i_oracle(made.graph)
         ok = value == expected and verify_certificate(made.graph, cert)
         g = made.graph

@@ -3,7 +3,15 @@ and the table dynamic program for the independence-domination number.
 
 Recognition eliminates pendant vertices and twins one at a time; the reverse
 of that order rebuilds the graph and also drives the construction of the
-decomposition tree (T, f): a rooted binary tree whose leaves are the
+decomposition tree. It runs as one worklist pass: each vertex is filed under
+its live open and closed rows, and a removal refiles only the removed
+vertex's live neighbours, so the whole pass costs about n + m mask updates
+(each one word-parallel over n bits). Removing a pendant or a twin keeps a
+graph distance-hereditary or not, so any elimination order gives the same
+answer. When no live vertex is a pendant or has a twin, the graph is not
+distance-hereditary, and the failure names the lowest-numbered vertex left.
+
+The decomposition tree (T, f) is a rooted binary tree whose leaves are the
 vertices. For a tree edge e, ``W_e`` is the vertex set below e and the
 twinset ``Q_e`` holds the members of ``W_e`` with neighbors outside. Every
 cut is rank one, so all of ``Q_e`` shares one outside neighborhood and the
@@ -23,7 +31,7 @@ verbatim against exhaustive enumeration on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import Graph, GraphError, FormatError, bits, parse_ints, read_lines
 from .oracle import DominationCertificate, INF
@@ -65,38 +73,77 @@ class DHFailure:
     alive: int
 
 
-def recognize_dh(g: Graph):
-    """PruningSequence if g is distance-hereditary, else a DHFailure."""
-    if g.n == 0:
+@dataclass
+class DHStats:
+    """Size of one DH solve: the eliminations of each kind recognition made,
+    and the most value-DP items kept at one tree node."""
+
+    pendants: int = 0
+    true_twins: int = 0
+    false_twins: int = 0
+    max_items: int = 0
+
+    def as_dict(self):
+        return asdict(self)
+
+
+def recognize_dh(g: Graph, stats: DHStats | None = None):
+    """PruningSequence if g is distance-hereditary, else a DHFailure.
+
+    One pass over a worklist of dirty vertices, lowest id first. A dirty
+    vertex with one live neighbour is a pendant; otherwise it is refiled
+    under its live open row and its live closed row, and a key filed already
+    makes it a false or a true twin. Removing a vertex changes the live rows
+    of its live neighbours only, so only they become dirty. A key filed
+    before such a removal contains the removed vertex, so it never equals a
+    current key.
+    """
+    n = g.n
+    if n == 0:
         raise GraphError("empty graph")
+    rows = g.row
     alive = g.full_mask
+    by_open = {}
+    by_closed = {}
+    filed = [None] * n  # the open key each vertex is filed under
+    dirty = alive
     ops = []
-    while alive & (alive - 1):
-        op = _find_elimination(g, alive)
+    for _ in range(n - 1):
+        op = None
+        dirty &= alive
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            v = low.bit_length() - 1
+            old = filed[v]
+            if old is not None:
+                del by_open[old], by_closed[old | low]
+                filed[v] = None
+            key = rows[v] & alive
+            if key.bit_count() == 1:
+                op = PruneOp(PENDANT, v, key.bit_length() - 1)
+                break
+            twin = by_closed.get(key | low)
+            if twin is not None:
+                op = PruneOp(TRUE_TWIN, v, twin)
+                break
+            twin = by_open.get(key)
+            if twin is not None:
+                op = PruneOp(FALSE_TWIN, v, twin)
+                break
+            by_open[key] = by_closed[key | low] = v
+            filed[v] = key
         if op is None:
-            return DHFailure(next(bits(alive)), alive)
+            return DHFailure((alive & -alive).bit_length() - 1, alive)
+        alive ^= low
+        dirty |= rows[v] & alive
         ops.append(op)
-        alive &= ~(1 << op.v)
-    return PruningSequence(tuple(ops), g.n)
-
-
-def _find_elimination(g, alive):
-    for v in bits(alive):
-        row = g.row[v] & alive
-        if row.bit_count() == 1:
-            return PruneOp(PENDANT, v, row.bit_length() - 1)
-    closed_seen = {}
-    open_seen = {}
-    for v in bits(alive):
-        row = g.row[v] & alive
-        closed = row | (1 << v)
-        if closed in closed_seen:
-            return PruneOp(TRUE_TWIN, v, closed_seen[closed])
-        if row in open_seen:
-            return PruneOp(FALSE_TWIN, v, open_seen[row])
-        closed_seen[closed] = v
-        open_seen[row] = v
-    return None
+    if stats is not None:
+        kinds = [op.kind for op in ops]
+        stats.pendants += kinds.count(PENDANT)
+        stats.true_twins += kinds.count(TRUE_TWIN)
+        stats.false_twins += kinds.count(FALSE_TWIN)
+    return PruningSequence(tuple(ops), n)
 
 
 def replay_sequence(seq: PruningSequence) -> Graph:
@@ -204,7 +251,7 @@ def build_dh_decomposition(g: Graph, seq: PruningSequence) -> DHDecomposition:
     alive = g.full_mask
     for idx, op in enumerate(seq.ops):
         v, u = op.v, op.u
-        if v == u or not (alive >> v & 1) or not (alive >> u & 1):
+        if v == u or min(v, u) < 0 or not (alive >> v & 1 and alive >> u & 1):
             raise GraphError(f"operation {idx} ({op.kind} {v} {u}): vertex not available")
         row_v = g.row[v] & alive
         if op.kind == PENDANT:
@@ -330,32 +377,57 @@ def _leaf_items(g, node):
 _ASSIGNMENTS = [(u1, d1, u2, d2) for u1 in (0, 1) for d1 in (0, 1) for u2 in (0, 1) for d2 in (0, 1)]
 
 
+def _legal_assignments(join, l_in, r_in):
+    """Per parent slot u*2+d, the child assignments (u1, d1, u2, d2) a node
+    allows, as (child-1 slot, child-2 slot, assignment) in _ASSIGNMENTS
+    order: a child may defer its own domination (u1, u2) only to D across a
+    join or to the parent's deferral, and the parent's d needs a child d
+    inside the twinset."""
+    per_slot = []
+    for u in (0, 1):
+        for d in (0, 1):
+            per_slot.append(tuple(
+                (u1 * 2 + d1, u2 * 2 + d2, (u1, d1, u2, d2))
+                for u1, d1, u2, d2 in _ASSIGNMENTS
+                if (not u1 or (join and d2) or (l_in and u))
+                and (not u2 or (join and d1) or (r_in and u))
+                and (not d or (d1 and l_in) or (d2 and r_in))
+            ))
+    return tuple(per_slot)
+
+
+# (join, left twinset kept, right twinset kept) -> legal assignments per slot
+_LEGAL = {
+    (join, l_in, r_in): _legal_assignments(join, l_in, r_in)
+    for join in (False, True) for l_in in (False, True) for r_in in (False, True)
+}
+
+
 def _combine_items(node, items1, items2):
     join = node.label == JOIN
     l_in = node.tag in (TAG_LEFT, TAG_BOTH)
     r_in = node.tag in (TAG_RIGHT, TAG_BOTH)
+    legal = _LEGAL[join, l_in, r_in]
     out = []
     for it1 in items1:
+        c1 = it1.c
         for it2 in items2:
             if join and it1.i and it2.i:
                 continue
             i = (it1.i and l_in) or (it2.i and r_in)
-            c = [INF] * 4
-            assign = [None] * 4
-            for u in (0, 1):
-                for d in (0, 1):
-                    slot = u * 2 + d
-                    for u1, d1, u2, d2 in _ASSIGNMENTS:
-                        if u1 and not ((join and d2) or (l_in and u)):
-                            continue
-                        if u2 and not ((join and d1) or (r_in and u)):
-                            continue
-                        if d and not ((d1 and l_in) or (d2 and r_in)):
-                            continue
-                        cost = it1.c[u1 * 2 + d1] + it2.c[u2 * 2 + d2]
-                        if cost < c[slot]:
-                            c[slot] = cost
-                            assign[slot] = (u1, d1, u2, d2)
+            c2 = it2.c
+            c = []
+            assign = []
+            for slot in legal:
+                best = INF
+                pick = None
+                for k1, k2, pair in slot:
+                    cost = c1[k1] + c2[k2]
+                    if cost < best:
+                        best = cost
+                        pick = pair
+                c.append(best)
+                assign.append(pick)
             out.append(_Item(i, it1.a + it2.a, tuple(c), ("comb", it1, it2, tuple(assign))))
     return _prune_items(out)
 
@@ -383,15 +455,18 @@ def _prune_items(items):
     return survivors
 
 
-def _value_items(g, decomp):
+def _value_items(g, decomp, stats):
     table = {}
     for node in decomp.postorder():
         if node.is_leaf:
-            table[id(node)] = _leaf_items(g, node)
+            items = _leaf_items(g, node)
         else:
             items1 = table.pop(id(node.left))
             items2 = table.pop(id(node.right))
-            table[id(node)] = _combine_items(node, items1, items2)
+            items = _combine_items(node, items1, items2)
+        table[id(node)] = items
+        if stats is not None:
+            stats.max_items = max(stats.max_items, len(items))
     return table[id(decomp.root)]
 
 
@@ -432,12 +507,16 @@ def _walk_certificate(root_item):
     return a_mask, d_mask
 
 
-def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None):
-    """Independence-domination number of a distance-hereditary graph."""
+def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None,
+               stats: DHStats | None = None):
+    """Independence-domination number of a distance-hereditary graph.
+
+    Without a decomposition the graph is recognized first; stats, if given,
+    receives the elimination counts of that recognition and the DP size."""
     if g.n == 0:
         return 0, DominationCertificate(0, 0, 0)
     if decomp is None:
-        seq = recognize_dh(g)
+        seq = recognize_dh(g, stats)
         if isinstance(seq, DHFailure):
             raise ClassMismatchError(
                 f"input is not distance-hereditary (stuck at vertex {seq.stuck_vertex})",
@@ -447,7 +526,7 @@ def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None):
     if decomp.root.is_leaf:
         v = decomp.root.vertex
         return 1, DominationCertificate(1 << v, 1 << v, 1)
-    items = _value_items(g, decomp)
+    items = _value_items(g, decomp, stats)
     best = max(items, key=lambda it: it.c[0])
     value = best.c[0]
     a_mask, d_mask = _walk_certificate(best)

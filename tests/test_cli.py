@@ -57,6 +57,27 @@ class TestGammaI:
         assert set(stats) == {"nice_nodes", "max_items", "max_entries", "peak_live_entries"}
         assert 0 < stats["max_items"] <= stats["max_entries"] <= stats["peak_live_entries"]
 
+    def test_dh_reports_stats(self, tmp_path, capsys):
+        target = write_graph(tmp_path, path(7))
+        code, reports = run(capsys, ["gamma-i", target, "--certify"])
+        assert code == 0
+        assert reports[0]["algorithm"] == "dh"
+        stats = reports[0]["stats"]
+        assert set(stats) == {"pendants", "true_twins", "false_twins", "max_items"}
+        assert stats["pendants"] + stats["true_twins"] + stats["false_twins"] == 6
+        assert stats["max_items"] > 0
+
+    @pytest.mark.parametrize("g", [cycle(5), grid(3, 3)], ids=["c5", "grid3x3"])
+    def test_forced_dh_mismatch(self, tmp_path, capsys, g):
+        target = write_graph(tmp_path, g)
+        code, reports = run(capsys, ["gamma-i", target, "--algo", "dh"])
+        assert code == 2
+        assert len(reports) == 1
+        witness = reports[0]["witness"]
+        assert set(witness) == {"kind", "vertex"}
+        assert witness["kind"] == "dh-stuck"
+        assert witness["vertex"] in range(g.n)
+
     def test_forced_class_mismatch(self, tmp_path, capsys):
         target = write_graph(tmp_path, path(4))
         code, reports = run(capsys, ["gamma-i", target, "--algo", "cograph"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from indom import (
@@ -8,10 +10,12 @@ from indom import (
     is_independent,
     verify_certificate,
 )
+from indom import distance_hereditary
 from indom.distance_hereditary import (
     JOIN,
     UNION,
     DHFailure,
+    DHStats,
     PruneOp,
     PruningSequence,
     build_dh_decomposition,
@@ -25,7 +29,7 @@ from indom.distance_hereditary import (
 )
 from indom.oracle import INF, gamma_i_oracle
 from indom.cograph import ClassMismatchError
-from indom.generators import cycle, path, random_cograph, random_dh
+from indom.generators import cycle, gnp, path, random_cograph, random_dh
 from tests.conftest import cover_of, subsets_of
 
 
@@ -48,6 +52,85 @@ class TestRecognition:
             seq = recognize_dh(made.graph)
             assert isinstance(seq, PruningSequence)
             assert replay_sequence(seq) == made.graph
+
+
+def _balls(g, x, within):
+    """Balls of radius 0, 1, ... around x in the subgraph induced by within,
+    up to x's whole component there."""
+    reach = frontier = 1 << x
+    balls = [reach]
+    while frontier:
+        grown = 0
+        for y in bits(frontier):
+            grown |= g.row[y]
+        frontier = grown & within & ~reach
+        reach |= frontier
+        balls.append(reach)
+    return balls
+
+
+def is_dh_by_definition(g):
+    """Every connected induced subgraph keeps all distances of g: from each
+    of its vertices, its balls are g's balls cut down to it."""
+    whole = [_balls(g, x, g.full_mask) for x in range(g.n)]
+    for s in range(1, 1 << g.n):
+        for x in bits(s):
+            balls = _balls(g, x, s)
+            if balls[-1] != s:
+                break  # not connected: its components are other subsets
+            outer = whole[x]
+            for k, ball in enumerate(balls):
+                if ball != outer[min(k, len(outer) - 1)] & s:
+                    return False
+    return True
+
+
+def shuffled(g, seed):
+    """g with its vertex ids permuted at random."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestRecognitionOracle:
+    def test_accepts_exactly_the_distance_hereditary_graphs(self):
+        accepted = 0
+        for seed in range(3000):
+            n = 2 + seed % 8
+            g = gnp(n, 0.05 + 0.9 * (seed * 37 % 100) / 99, seed)
+            result = recognize_dh(g)
+            assert isinstance(result, PruningSequence) == is_dh_by_definition(g), seed
+            if isinstance(result, PruningSequence):
+                accepted += 1
+                build_dh_decomposition(g, result)
+                assert replay_sequence(result) == g
+            else:
+                assert result.alive >> result.stuck_vertex & 1
+        # both answers are well represented
+        assert 300 < accepted < 2700
+
+    def test_recognition_route_matches_oracle(self):
+        for seed in range(300):
+            g = shuffled(random_dh(4 + seed % 11, seed).graph, seed)
+            value, cert = gamma_i_dh(g)
+            assert value == gamma_i_oracle(g)[0]
+            assert verify_certificate(g, cert)
+
+    def test_stats_count_the_eliminations(self):
+        g = shuffled(random_dh(40, 3).graph, 3)
+        stats = DHStats()
+        seq = recognize_dh(g, stats)
+        kinds = [op.kind for op in seq.ops]
+        assert stats.pendants == kinds.count("pendant")
+        assert stats.true_twins == kinds.count("ttwin")
+        assert stats.false_twins == kinds.count("ftwin")
+        assert stats.pendants + stats.true_twins + stats.false_twins == g.n - 1
+        assert stats.max_items == 0
+        solved = DHStats()
+        assert gamma_i_dh(g, stats=solved) == gamma_i_dh(g)
+        assert (solved.pendants, solved.true_twins, solved.false_twins) == \
+            (stats.pendants, stats.true_twins, stats.false_twins)
+        assert solved.max_items > 0
 
 
 class TestDecomposition:
@@ -103,6 +186,12 @@ class TestDecomposition:
         )
         with pytest.raises(GraphError, match="operation 0"):
             build_dh_decomposition(g, bad)
+
+    @pytest.mark.parametrize("op", [PruneOp("pendant", -1, 0), PruneOp("pendant", 1, -1)])
+    def test_rejects_negative_vertex(self, op):
+        g = build_graph(2, [(0, 1)])
+        with pytest.raises(GraphError, match=r"operation 0 \(pendant -?1 -?[01]\): vertex not"):
+            build_dh_decomposition(g, PruningSequence((op,), 2))
 
 
 class TestGammaIDH:
@@ -223,6 +312,71 @@ def brute_force_value_items(g, node):
             if not any(o != c and all(a >= b for a, b in zip(o, c)) for o in cvecs)
         }
     return out
+
+
+def _combine_by_search(node, items1, items2):
+    """The node combine as a search over all 16 child assignments per slot,
+    the first strict minimum kept."""
+    join = node.label == JOIN
+    l_in = node.tag in ("left", "both")
+    r_in = node.tag in ("right", "both")
+    out = []
+    for it1 in items1:
+        for it2 in items2:
+            if join and it1.i and it2.i:
+                continue
+            c = [INF] * 4
+            assign = [None] * 4
+            for u in (0, 1):
+                for d in (0, 1):
+                    for u1, d1, u2, d2 in distance_hereditary._ASSIGNMENTS:
+                        if u1 and not ((join and d2) or (l_in and u)):
+                            continue
+                        if u2 and not ((join and d1) or (r_in and u)):
+                            continue
+                        if d and not ((d1 and l_in) or (d2 and r_in)):
+                            continue
+                        cost = it1.c[u1 * 2 + d1] + it2.c[u2 * 2 + d2]
+                        if cost < c[u * 2 + d]:
+                            c[u * 2 + d] = cost
+                            assign[u * 2 + d] = (u1, d1, u2, d2)
+            i = (it1.i and l_in) or (it2.i and r_in)
+            out.append(distance_hereditary._Item(
+                i, it1.a + it2.a, tuple(c), ("comb", it1, it2, tuple(assign))))
+    return distance_hereditary._prune_items(out)
+
+
+class TestCombineTable:
+    def test_items_and_choices_match_the_search(self):
+        for seed in range(40):
+            made = random_dh(6 + seed, seed)
+            g = made.graph
+            d = build_dh_decomposition(g, made.artifact)
+            items = {}
+            for node in d.postorder():
+                if node.is_leaf:
+                    items[id(node)] = distance_hereditary._leaf_items(g, node)
+                    continue
+                kids = items[id(node.left)], items[id(node.right)]
+                got = distance_hereditary._combine_items(node, *kids)
+                want = _combine_by_search(node, *kids)
+                assert [(it.i, it.a, it.c, it.prov[3]) for it in got] == \
+                    [(it.i, it.a, it.c, it.prov[3]) for it in want]
+                items[id(node)] = got
+
+    def test_certificates_match_the_search(self, monkeypatch):
+        runs = []
+        for combine in (distance_hereditary._combine_items, _combine_by_search):
+            monkeypatch.setattr(distance_hereditary, "_combine_items", combine)
+            run = []
+            for seed in range(40):
+                made = random_dh(6 + seed, seed)
+                d = build_dh_decomposition(made.graph, made.artifact)
+                per_edge = edge_value_items(made.graph, d)
+                run.append(([per_edge[id(node)] for node in d.postorder()],
+                            gamma_i_dh(made.graph, d)))
+            runs.append(run)
+        assert runs[0] == runs[1]
 
 
 class TestEdgeTables:
