@@ -17,6 +17,7 @@ import sys
 
 from . import generators
 from .graph import (
+    FormatError,
     Graph,
     GraphError,
     cartesian_product,
@@ -95,10 +96,19 @@ _CEILINGS = (
 
 
 def _read_input(path):
+    """Text of the file, or of stdin for '-'; bytes that are not UTF-8 are a
+    FormatError naming their line."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        name = "stdin" if path == "-" else path
+        raise FormatError(f"{name}: byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
 
 
 def _load_graph(args):

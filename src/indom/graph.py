@@ -9,6 +9,7 @@ Helpers below convert between masks and vertex lists.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator
 
 # Vertex ids are capped so product constructions cannot silently explode.
@@ -233,11 +234,19 @@ def edge_clique_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
 EDGE_LIST = "edge-list"
 DIMACS = "dimacs"
 
+# edge lines are checked this many at a time; a bounded slice keeps the
+# token lists of a large file from being held all at once
+EDGE_SLICE = 4096
+
 
 def read_lines(text: str, c_comments: bool = False) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) for each line with content; '#' starts a
     comment, and with c_comments so does a leading 'c' (DIMACS and PACE)."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    return _content(text.splitlines(), 1, c_comments)
+
+
+def _content(lines, first, c_comments):
+    for lineno, line in enumerate(lines, start=first):
         tokens = line.partition("#")[0].split()
         if tokens and not (c_comments and tokens[0][0] == "c"):
             yield lineno, tokens
@@ -253,47 +262,99 @@ def parse_ints(tokens: list[str], line: int | None = None, what: str = "integers
 
 def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
     """Graph from edge-list or DIMACS text, which differ only in the header
-    and edge syntax; each edge is checked and stored as it is read."""
+    and edge syntax.
+
+    Edge lines are read in slices of EDGE_SLICE lines. A slice of plain edge
+    lines is cut, converted and checked by builtins over the whole slice;
+    any other slice (a comment, a blank line or an error in it) is read line
+    by line, so an error names its line. Only the row ORs are a Python loop.
+    """
     if fmt not in (EDGE_LIST, DIMACS):
         raise FormatError(f"unknown format {fmt!r}")
     dimacs = fmt == DIMACS
-    header_syntax, edge_syntax = ("'p [name] n m'", "'e u v'") if dimacs else ("'n m'", "'u v'")
-    rows = None
+    lines = text.splitlines()
+    header, n, m = _header(lines, dimacs)
+    rows = [0] * n
     count = 0
-    for lineno, tokens in read_lines(text, c_comments=dimacs):
-        if dimacs:
-            directive, *tokens = tokens
-            if directive == "p":
-                if rows is not None:
-                    raise FormatError("duplicate 'p' header", lineno)
-                if len(tokens) == 3 and not tokens[0].lstrip("-").isdigit():
-                    tokens = tokens[1:]  # the name in "p <name> n m"
-            elif directive != "e":
-                raise FormatError(f"unknown directive {directive!r}", lineno)
-            elif rows is None:
-                raise FormatError("edge before 'p' header", lineno)
-        if rows is None:
-            if len(tokens) != 2:
-                raise FormatError(f"expected header {header_syntax}", lineno)
-            n, m = parse_ints(tokens, lineno)
-            if not 0 <= n <= MAX_VERTICES:
-                raise FormatError(f"vertex count {n} out of range 0..{MAX_VERTICES}", lineno)
-            rows = [0] * n
-            header = lineno
-            continue
-        if len(tokens) != 2:
-            raise FormatError(f"expected edge {edge_syntax}", lineno)
-        u, v = parse_ints(tokens, lineno)
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"bad edge ({u}, {v}) for n={n}", lineno)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        count += 1
-    if rows is None:
-        raise FormatError("missing 'p' header" if dimacs else "empty input: missing 'n m' header")
+    for start in range(header, len(lines), EDGE_SLICE):
+        chunk = lines[start:start + EDGE_SLICE]
+        us, vs = _plain_edges(chunk, n, dimacs) or _edge_lines(chunk, start + 1, n, dimacs)
+        for u, v in zip(us, vs):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        count += len(us)
     if count != m:
         raise FormatError(f"header declared {m} edges, found {count}", header)
     return Graph._from_rows(rows)
+
+
+def _header(lines, dimacs):
+    """(line number, n, m) of the header, the first line with content."""
+    for lineno, tokens in _content(lines, 1, dimacs):
+        if dimacs:
+            directive, *tokens = tokens
+            if directive == "e":
+                raise FormatError("edge before 'p' header", lineno)
+            if directive != "p":
+                raise FormatError(f"unknown directive {directive!r}", lineno)
+            if len(tokens) == 3 and not tokens[0].lstrip("-").isdigit():
+                tokens = tokens[1:]  # the name in "p <name> n m"
+        if len(tokens) != 2:
+            raise FormatError("expected header " + ("'p [name] n m'" if dimacs else "'n m'"),
+                              lineno)
+        n, m = parse_ints(tokens, lineno)
+        if not 0 <= n <= MAX_VERTICES:
+            raise FormatError(f"vertex count {n} out of range 0..{MAX_VERTICES}", lineno)
+        return lineno, n, m
+    raise FormatError("missing 'p' header" if dimacs else "empty input: missing 'n m' header")
+
+
+def _plain_edges(chunk, n, dimacs):
+    """(us, vs) when every line of the slice is one valid edge, written with
+    single spaces between its tokens, else None.
+
+    Each line must hold exactly the spaces of its syntax, so joining the
+    slice with spaces and cutting it at spaces puts line i's tokens at a
+    known stride. Every other line fails a check here: a comment leaves a
+    token holding '#' or 'c' (DIMACS), which int() or the directive test
+    rejects, and a token with other whitespace inside is no int.
+    """
+    width = 3 if dimacs else 2
+    if set(map(str.count, chunk, itertools.repeat(" "))) != {width - 1}:
+        return None
+    tokens = " ".join(chunk).split(" ")
+    if dimacs and set(tokens[0::3]) != {"e"}:
+        return None
+    try:
+        us = list(map(int, tokens[width - 2::width]))
+        vs = list(map(int, tokens[width - 1::width]))
+    except ValueError:
+        return None
+    if min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n:
+        return None
+    if any(map(operator.eq, us, vs)):
+        return None
+    return us, vs
+
+
+def _edge_lines(chunk, first, n, dimacs):
+    """(us, vs) of a slice read line by line; the first bad line raises."""
+    us, vs = [], []
+    for lineno, tokens in _content(chunk, first, dimacs):
+        if dimacs:
+            directive, *tokens = tokens
+            if directive == "p":
+                raise FormatError("duplicate 'p' header", lineno)
+            if directive != "e":
+                raise FormatError(f"unknown directive {directive!r}", lineno)
+        if len(tokens) != 2:
+            raise FormatError("expected edge " + ("'e u v'" if dimacs else "'u v'"), lineno)
+        u, v = parse_ints(tokens, lineno)
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"bad edge ({u}, {v}) for n={n}", lineno)
+        us.append(u)
+        vs.append(v)
+    return us, vs
 
 
 def serialize(g: Graph, fmt: str = EDGE_LIST) -> str:

@@ -10,7 +10,8 @@ Two consequences drive this module:
 
 * gamma(M) equals the largest subset of M whose consecutive members have
   disjoint closed neighborhoods (cover/packing duality for runs), which
-  yields the quadratic chain DP in :func:`gamma_i_permutation`;
+  yields the chain DP in :func:`gamma_i_permutation`, run on prefix maxima
+  and suffix minima of the bottom positions without building the graph;
 * every minimum dominating set of M contains exactly one vertex covering
   the last member x, so ``k in gamma_x(z)`` holds iff some independent M
   ending in x has gamma(M) = k and gamma(M - N[z]) = k - 1. The table DP in
@@ -19,6 +20,8 @@ Two consequences drive this module:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, FormatError, bits, mask_to_list, parse_ints, read_lines
@@ -37,9 +40,6 @@ class PermutationDiagram:
         if sorted(self.top) != list(range(self.n)) or sorted(self.bot) != list(range(self.n)):
             raise GraphError("diagram positions must each be a permutation of 0..n-1")
 
-    def crosses(self, i, j):
-        return (self.top[i] - self.top[j]) * (self.bot[i] - self.bot[j]) < 0
-
     def left_of(self, i, j):
         """Segment i entirely left of (parallel to) segment j."""
         return self.top[i] < self.top[j] and self.bot[i] < self.bot[j]
@@ -54,13 +54,16 @@ class PermutationDiagram:
 
 
 def diagram_to_graph(d: PermutationDiagram) -> Graph:
-    edges = [
-        (i, j)
-        for i in range(d.n)
-        for j in range(i + 1, d.n)
-        if d.crosses(i, j)
-    ]
-    return Graph(d.n, edges)
+    """Crossing graph of the diagram. With L the segments whose top end lies
+    left of v's and R those whose bottom end does, j crosses v exactly when
+    it lies in one of L and R but not both, so row[v] = L ^ R."""
+    rows = [0] * d.n
+    for ends in (d.top, d.bot):
+        left = 0
+        for v in sorted(range(d.n), key=ends.__getitem__):
+            rows[v] ^= left
+            left |= 1 << v
+    return Graph._from_rows(rows)
 
 
 def gamma_i_permutation(d: PermutationDiagram) -> tuple[int, DominationCertificate]:
@@ -69,31 +72,51 @@ def gamma_i_permutation(d: PermutationDiagram) -> tuple[int, DominationCertifica
     Longest chain of segments, increasing in both lines, whose consecutive
     members have disjoint closed neighborhoods. Such a chain P needs |P|
     dominators (no vertex covers two of its members) and P covers itself.
+
+    Segments are taken in top order. For u left of v, a common neighbour
+    starts left of u and ends right of v, or starts right of v and ends left
+    of u. So u may precede v exactly when the largest bottom end up to u
+    lies left of v's, and u's lies left of the smallest bottom end from v
+    on. The u passing the first test are a prefix of the top order, those
+    passing the second the segments with the smallest bottom ends; both are
+    masks over top positions. v extends the longest chain the candidates
+    end, at its first position in top order, as the pairwise DP did. That
+    is O(n log n) mask steps plus the chain lengths skipped.
     """
-    g = diagram_to_graph(d)
     n = d.n
     if n == 0:
         return 0, DominationCertificate(0, 0, 0)
-    order = sorted(range(n), key=lambda v: d.top[v])
-    length = {}
-    back = {}
-    for v in order:
-        best, prev = 1, None
-        for u in order:
-            if d.top[u] >= d.top[v]:
-                break
-            if d.left_of(u, v) and g.closed[u] & g.closed[v] == 0:
-                if length[u] + 1 > best:
-                    best, prev = length[u] + 1, u
-        length[v] = best
-        back[v] = prev
-    end = max(order, key=lambda v: length[v])
+    at = sorted(range(n), key=d.top.__getitem__)  # vertex at each top position
+    bot = [d.bot[v] for v in at]
+    reach = list(itertools.accumulate(bot, max))  # largest bottom end up to p
+    floor = list(itertools.accumulate(reversed(bot), min))[::-1]  # smallest from p on
+    place = [0] * n  # top position of the segment with each bottom end
+    for p, b in enumerate(bot):
+        place[b] = p
+    low = 0  # top positions whose bottom end lies below floor[p]
+    below = 0
+    ends = [0]  # ends[k]: top positions whose longest chain has k members
+    back = [-1] * n
+    for p, b in enumerate(bot):
+        while below < floor[p]:
+            low |= 1 << place[below]
+            below += 1
+        candidates = low & ((1 << bisect.bisect_left(reach, b)) - 1)
+        k = len(ends) - 1
+        while k and not ends[k] & candidates:
+            k -= 1
+        if k:
+            hit = ends[k] & candidates
+            back[p] = (hit & -hit).bit_length() - 1
+        if k + 1 == len(ends):
+            ends.append(0)
+        ends[k + 1] |= 1 << p
+    value = len(ends) - 1
+    p = (ends[value] & -ends[value]).bit_length() - 1
     chain = 0
-    v = end
-    while v is not None:
-        chain |= 1 << v
-        v = back[v]
-    value = length[end]
+    while p >= 0:
+        chain |= 1 << at[p]
+        p = back[p]
     return value, DominationCertificate(chain, chain, value)
 
 

@@ -386,3 +386,22 @@ def test_error_reports_json(tmp_path, capsys):
     code, reports = run(capsys, ["gamma-i", str(tmp_path / "missing.txt")])
     assert code == 2
     assert "error" in reports[0]
+
+
+@pytest.mark.parametrize("flag", [None, "--cotree", "--diagram", "--td"])
+def test_non_utf8_file_is_a_json_error(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3 1\n0 1\xff\n")
+    argv = ["gamma-i", str(bad)] if flag is None else \
+        ["gamma-i", write_graph(tmp_path, path(3)), flag, str(bad)]
+    code, reports = run(capsys, argv)
+    assert code == 2
+    assert reports == [{"error": f"line 2: {bad}: byte 0xff is not UTF-8 text"}]
+
+
+def test_non_utf8_stdin_is_a_json_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(indom.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "indom.cli", "gamma-i", "-"],
+                          input=b"\xfe3 1\n0 1\n", capture_output=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout) == {"error": "line 1: stdin: byte 0xfe is not UTF-8 text"}

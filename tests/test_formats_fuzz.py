@@ -1,11 +1,17 @@
 """Random and mutated text through every file-format parser: the only
 exception that may escape is GraphError (FormatError is one), which the
-command line turns into a JSON error with exit code 2."""
+command line turns into a JSON error with exit code 2. Random bytes go
+through the command line itself."""
+
+import contextlib
+import io
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from indom.cli import main
 from indom.cograph import parse_cotree, serialize_cotree
 from indom.distance_hereditary import parse_sequence, serialize_sequence
 from indom.generators import gnp, random_cotree, random_dh_sequence, random_permutation
@@ -60,3 +66,28 @@ def test_only_graph_errors_escape(fmt, data):
         parser(text)
     except GraphError:
         pass
+
+
+@st.composite
+def raw_files(draw):
+    """Arbitrary bytes, or a valid edge list with arbitrary bytes spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary())
+    valid = FORMATS["edge-list"][1].encode()
+    at = draw(st.integers(0, len(valid)))
+    return valid[:at] + draw(st.binary(max_size=4)) + valid[at + draw(st.integers(0, 2)):]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=raw_files())
+def test_any_bytes_end_as_json(tmp_path, data):
+    target = tmp_path / "g.txt"
+    target.write_bytes(data)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gamma-i", str(target)])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert (code, "error" in report) in ((0, False), (2, True))

@@ -24,6 +24,7 @@ from indom import (
 from indom.cograph import cotree_to_graph, parse_cotree, serialize_cotree
 from indom.distance_hereditary import parse_sequence, serialize_sequence
 from indom.oracle import gamma
+from indom.graph import EDGE_SLICE
 from indom.generators import (
     complete_multipartite,
     cycle,
@@ -315,3 +316,64 @@ def test_rows_agree_with_edge_lists():
             sub, ids = induced_subgraph(g, s)
             assert ids == mask_to_list(s)
             assert sub == Graph(len(ids), _induced_edges(g, s))
+
+
+# more edge lines than two slices, so the third slice is a partial one
+_N = 300
+_MANY = list(itertools.combinations(range(_N), 2))[:2 * EDGE_SLICE + 500]
+
+
+def _many_edge_lines(fmt, lead=()):
+    """Header (after the lead lines) and one line per edge of _MANY."""
+    if fmt == "dimacs":
+        return [*lead, f"p {_N} {len(_MANY)}"] + [f"e {u} {v}" for u, v in _MANY]
+    return [*lead, f"{_N} {len(_MANY)}"] + [f"{u} {v}" for u, v in _MANY]
+
+
+class TestSlices:
+    # line number of the first, a middle and the last line of the second
+    # slice, and a line of the third, with the header on line 1
+    LINES = [EDGE_SLICE + 2, EDGE_SLICE + 50, 2 * EDGE_SLICE + 1, 2 * EDGE_SLICE + 300]
+
+    @pytest.mark.parametrize("lineno", LINES)
+    @pytest.mark.parametrize("fmt,bad,message", [
+        ("edge-list", "0 x", "expected integers, got '0 x'"),
+        ("edge-list", "5 5", "bad edge (5, 5) for n=300"),
+        ("edge-list", "0 300", "bad edge (0, 300) for n=300"),
+        ("edge-list", "-1 2", "bad edge (-1, 2) for n=300"),
+        ("edge-list", "0 1 2", "expected edge 'u v'"),
+        ("edge-list", "7", "expected edge 'u v'"),
+        ("dimacs", "e 0 x", "expected integers, got '0 x'"),
+        ("dimacs", "e 5 5", "bad edge (5, 5) for n=300"),
+        ("dimacs", "e 300 0", "bad edge (300, 0) for n=300"),
+        ("dimacs", "e 0 1 2", "expected edge 'e u v'"),
+        ("dimacs", "x 0 1", "unknown directive 'x'"),
+        ("dimacs", "p 300 5", "duplicate 'p' header"),
+    ])
+    def test_error_past_the_first_slice_names_its_line(self, fmt, bad, message, lineno):
+        lines = _many_edge_lines(fmt)
+        lines[lineno - 1] = bad
+        with pytest.raises(FormatError) as err:
+            parse("\n".join(lines), fmt)
+        assert str(err.value) == f"line {lineno}: {message}"
+        assert err.value.line == lineno
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+    def test_lines_around_slice_boundaries_parse(self, fmt):
+        expected = Graph(_N, _MANY)
+        skipped = ["", "   ", "# note", "\t# x"] + (["c note"] if fmt == "dimacs" else [])
+        # comments before the header move every slice boundary
+        lines = _many_edge_lines(fmt, lead=skipped)
+        # other whitespace and a trailing comment on edge lines near a boundary
+        for at in (EDGE_SLICE - 2, EDGE_SLICE + 4, 2 * EDGE_SLICE + 4):
+            lines[at] = " " + lines[at].replace(" ", "\t ") + "  # edge"
+        for at in (2 * EDGE_SLICE + 3, EDGE_SLICE + 1, EDGE_SLICE, EDGE_SLICE - 1):
+            lines[at:at] = skipped
+        for newline in ("\n", "\r\n"):
+            assert parse(newline.join(lines) + newline, fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+    def test_round_trip_over_several_slices(self, fmt):
+        g = gnp(160, 0.7, 3)
+        assert g.m > 2 * EDGE_SLICE
+        assert parse(serialize(g, fmt), fmt) == g

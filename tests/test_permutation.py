@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from indom import (
+    Graph,
     GraphError,
     bits,
     dominates,
@@ -20,7 +22,7 @@ from indom.permutation import (
     parse_diagram,
     serialize_diagram,
 )
-from indom.oracle import gamma_i_oracle, gamma_of_set
+from indom.oracle import DominationCertificate, gamma_i_oracle, gamma_of_set
 from indom.generators import random_cotree, random_diagram
 from indom.cograph import cotree_to_graph
 from indom.graph import connected_components
@@ -145,3 +147,61 @@ class TestDiagramFormat:
         for msk in range(1, 1 << 10, 37):
             if is_independent(g, msk):
                 assert gamma_of_ordered_set(d, g, msk) == gamma_of_set(g, msk)[0]
+
+
+def pairwise_crossing_graph(d):
+    """Reference: i and j are adjacent when their segments cross."""
+    return Graph(d.n, [(i, j) for i, j in itertools.combinations(range(d.n), 2)
+                       if (d.top[i] - d.top[j]) * (d.bot[i] - d.bot[j]) < 0])
+
+
+def quadratic_chain_dp(d):
+    """Reference: the chain DP over the crossing graph's closed rows, u
+    before v in top order, first u of the longest chain on ties."""
+    g = pairwise_crossing_graph(d)
+    if d.n == 0:
+        return 0, DominationCertificate(0, 0, 0)
+    order = sorted(range(d.n), key=lambda v: d.top[v])
+    length, back = {}, {}
+    for v in order:
+        best, prev = 1, None
+        for u in order:
+            if d.top[u] >= d.top[v]:
+                break
+            if d.left_of(u, v) and g.closed[u] & g.closed[v] == 0 and length[u] + 1 > best:
+                best, prev = length[u] + 1, u
+        length[v], back[v] = best, prev
+    v = max(order, key=lambda v: length[v])
+    value, chain = length[v], 0
+    while v is not None:
+        chain |= 1 << v
+        v = back[v]
+    return value, DominationCertificate(chain, chain, value)
+
+
+def shuffled_diagrams(count, largest, seed):
+    """Random diagrams with a shuffled top line; in every third one the
+    bottom line is the top line with a few swaps, so that chains are long."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(largest + 1)
+        top = list(range(n))
+        rng.shuffle(top)
+        bot = list(top)
+        if i % 3:
+            rng.shuffle(bot)
+        else:
+            for _ in range(n // 6):
+                a, b = rng.randrange(n), rng.randrange(n)
+                bot[a], bot[b] = bot[b], bot[a]
+        yield PermutationDiagram(n, tuple(top), tuple(bot))
+
+
+class TestAgainstPairwiseDefinitions:
+    def test_graph_is_the_pairwise_crossing_graph(self):
+        for d in shuffled_diagrams(120, 60, 1):
+            assert diagram_to_graph(d) == pairwise_crossing_graph(d)
+
+    def test_value_and_certificate_match_the_quadratic_dp(self):
+        for d in shuffled_diagrams(90, 150, 2):
+            assert gamma_i_permutation(d) == quadratic_chain_dp(d), d
