@@ -232,12 +232,6 @@ def gamma_cograph(t: Cotree) -> int:
     return values[id(t.root)]
 
 
-def cotree_component_count(t: Cotree) -> int:
-    if t.root.label == UNION:
-        return len(t.root.children)
-    return 1
-
-
 def gamma_i_cograph(g: Graph, cotree: Cotree | None = None) -> tuple[int, DominationCertificate]:
     """Independence-domination number of a cograph: its component count.
 

@@ -2,14 +2,15 @@
 and the table dynamic program for the independence-domination number.
 
 Recognition eliminates pendant vertices and twins one at a time; the reverse
-of that order rebuilds the graph and also drives the construction of the
-decomposition tree. It runs as one worklist pass: each vertex is filed under
-its live open and closed rows, and a removal refiles only the removed
-vertex's live neighbours, so the whole pass costs about n + m mask updates
-(each one word-parallel over n bits). Removing a pendant or a twin keeps a
-graph distance-hereditary or not, so any elimination order gives the same
-answer. When no live vertex is a pendant or has a twin, the graph is not
-distance-hereditary, and the failure names the lowest-numbered vertex left.
+of that order rebuilds the graph, and the order itself builds the
+decomposition tree, one node per elimination. Recognition runs as one
+worklist pass: each vertex is filed under its live open and closed rows, and
+a removal refiles only the removed vertex's live neighbours, so the whole
+pass costs about n + m mask updates (each one word-parallel over n bits).
+Removing a pendant or a twin keeps a graph distance-hereditary or not, so
+any elimination order gives the same answer. When no live vertex is a
+pendant or has a twin, the graph is not distance-hereditary, and the
+failure names the lowest-numbered vertex left.
 
 The decomposition tree (T, f) is a rooted binary tree whose leaves are the
 vertices. For a tree edge e, ``W_e`` is the vertex set below e and the
@@ -197,24 +198,24 @@ def parse_sequence(text: str) -> PruningSequence:
 UNION = "union"
 JOIN = "join"
 
-TAG_LEFT = "left"
-TAG_RIGHT = "right"
-TAG_BOTH = "both"
-TAG_EMPTY = "empty"
-
 
 class DHNode:
-    __slots__ = ("left", "right", "parent", "vertex", "w", "q", "label", "tag")
+    """A leaf for one vertex, or the JOIN or UNION of its children's parts.
+    ``l_in`` and ``r_in`` say whether the left and the right child's twinset
+    stays in this node's twinset ``q``."""
 
-    def __init__(self, vertex=None):
-        self.left = None
-        self.right = None
-        self.parent = None
+    __slots__ = ("left", "right", "vertex", "w", "q", "label", "l_in", "r_in")
+
+    def __init__(self, vertex, w, q, left=None, right=None, label=None,
+                 l_in=False, r_in=False):
+        self.left = left
+        self.right = right
         self.vertex = vertex
-        self.w = 0
-        self.q = 0
-        self.label = None
-        self.tag = None
+        self.w = w
+        self.q = q
+        self.label = label
+        self.l_in = l_in
+        self.r_in = r_in
 
     @property
     def is_leaf(self):
@@ -223,31 +224,35 @@ class DHNode:
 
 @dataclass(frozen=True)
 class DHDecomposition:
-    root: DHNode
+    """The tree's nodes in creation order: every node after its children."""
+
+    nodes: tuple[DHNode, ...]
     n: int
 
+    @property
+    def root(self) -> DHNode:
+        return self.nodes[-1]
+
     def postorder(self):
-        order = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if not node.is_leaf:
-                stack.append(node.left)
-                stack.append(node.right)
-        order.reverse()
-        return order
+        return self.nodes
 
 
 def build_dh_decomposition(g: Graph, seq: PruningSequence) -> DHDecomposition:
-    """Decomposition tree from a pruning sequence, fully checked against g.
+    """Decomposition tree from a pruning sequence, checked against g.
 
-    Every operation is validated at its elimination step, and afterwards the
-    twinsets, node labels and twinset-composition tags are derived from the
-    graph itself; any mismatch with the rank-1 shape is rejected.
+    Every operation is checked at its elimination step, then makes its tree
+    node: the parts that u and v stand for become its children, and u stands
+    for their union from then on. Once every step has passed, replaying the
+    sequence rebuilds g, so every cut is rank one: a twinset shares one
+    outside neighbourhood, and a child's twinset stays in its parent's
+    exactly when its lowest member has a neighbour outside the parent's part.
+    A sequence that fails a step or does not end at a single vertex raises
+    GraphError.
     """
     if seq.n != g.n or g.n == 0:
         raise GraphError(f"sequence for n={seq.n} does not match graph n={g.n}")
+    nodes = [DHNode(v, 1 << v, 1 << v if g.row[v] else 0) for v in range(g.n)]
+    top = nodes[:]  # the part each live vertex stands for
     alive = g.full_mask
     for idx, op in enumerate(seq.ops):
         v, u = op.v, op.u
@@ -265,76 +270,17 @@ def build_dh_decomposition(g: Graph, seq: PruningSequence) -> DHDecomposition:
         if not ok:
             raise GraphError(f"operation {idx} ({op.kind} {v} {u}) is invalid at its step")
         alive &= ~(1 << v)
-
-    leaves = [DHNode(vertex=v) for v in range(g.n)]
-    root = leaves[seq.final_vertex if seq.ops else 0]
-    for op in reversed(seq.ops):
-        u_leaf = leaves[op.u]
-        p = DHNode()
-        p.left = u_leaf
-        p.right = leaves[op.v]
-        p.parent = u_leaf.parent
-        if p.parent is None:
-            root = p
-        elif p.parent.left is u_leaf:
-            p.parent.left = p
-        else:
-            p.parent.right = p
-        u_leaf.parent = p
-        leaves[op.v].parent = p
-
-    decomp = DHDecomposition(root, g.n)
-    _derive_structure(g, decomp)
-    return decomp
-
-
-def _derive_structure(g, decomp):
-    full = g.full_mask
-    for node in decomp.postorder():
-        if node.is_leaf:
-            node.w = 1 << node.vertex
-            node.q = node.w if g.row[node.vertex] else 0
-            continue
-        node.w = node.left.w | node.right.w
-        outside = full & ~node.w
-        q = 0
-        for v in bits(node.left.q | node.right.q):
-            if g.row[v] & outside:
-                q |= 1 << v
-        node.q = q
-        _derive_label(g, node)
-        _derive_tag(node)
-
-
-def _derive_label(g, node):
-    m1, m2 = node.left.w, node.right.w
-    q1, q2 = node.left.q, node.right.q
-    if m2.bit_count() < m1.bit_count():
-        m1, m2, q1, q2 = m2, m1, q2, q1
-    crossing = any(g.row[v] & m2 for v in bits(m1))
-    node.label = JOIN if crossing else UNION
-    for v in bits(m1):
-        expect = q2 if (crossing and q1 >> v & 1) else 0
-        if g.row[v] & m2 != expect:
-            raise GraphError(
-                f"cut at vertex {v} is not rank one; sequence inconsistent with graph"
-            )
-
-
-def _derive_tag(node):
-    q, q1, q2 = node.q, node.left.q, node.right.q
-    if q == 0:
-        node.tag = TAG_EMPTY
-    elif q1 and q2 and q == q1 | q2:
-        node.tag = TAG_BOTH
-    elif q == q1:
-        node.tag = TAG_LEFT
-    elif q == q2:
-        node.tag = TAG_RIGHT
-    elif q == q1 | q2:
-        node.tag = TAG_BOTH
-    else:
-        raise GraphError("twinset is not composed of child twinsets")
+        left, right = top[u], top[v]
+        w = left.w | right.w
+        l_in = left.q != 0 and g.row[(left.q & -left.q).bit_length() - 1] & ~w != 0
+        r_in = right.q != 0 and g.row[(right.q & -right.q).bit_length() - 1] & ~w != 0
+        q = (left.q if l_in else 0) | (right.q if r_in else 0)
+        label = UNION if op.kind == FALSE_TWIN else JOIN
+        top[u] = DHNode(None, w, q, left, right, label, l_in, r_in)
+        nodes.append(top[u])
+    if alive & (alive - 1):
+        raise GraphError("pruning sequence does not end at a single vertex")
+    return DHDecomposition(tuple(nodes), g.n)
 
 
 # --- value DP ----------------------------------------------------------------
@@ -405,8 +351,7 @@ _LEGAL = {
 
 def _combine_items(node, items1, items2):
     join = node.label == JOIN
-    l_in = node.tag in (TAG_LEFT, TAG_BOTH)
-    r_in = node.tag in (TAG_RIGHT, TAG_BOTH)
+    l_in, r_in = node.l_in, node.r_in
     legal = _LEGAL[join, l_in, r_in]
     out = []
     for it1 in items1:
@@ -468,22 +413,6 @@ def _value_items(g, decomp, stats):
         if stats is not None:
             stats.max_items = max(stats.max_items, len(items))
     return table[id(decomp.root)]
-
-
-def edge_value_items(g: Graph, decomp: DHDecomposition) -> dict:
-    """Per-edge value items (twinset-hit flag, |A|, cost vector) for tests:
-    the Pareto-maximal cost vectors over each edge's A-configurations."""
-    table = {}
-    out = {}
-    for node in decomp.postorder():
-        if node.is_leaf:
-            table[id(node)] = _leaf_items(g, node)
-        else:
-            table[id(node)] = _combine_items(
-                node, table[id(node.left)], table[id(node.right)]
-            )
-        out[id(node)] = [(it.i, it.a, it.c) for it in table[id(node)]]
-    return out
 
 
 def _walk_certificate(root_item):
@@ -591,13 +520,12 @@ def edge_tables(g: Graph, decomp: DHDecomposition) -> dict:
             tables[id(node)] = _combine_tables(
                 g.n, node, tables[id(node.left)], tables[id(node.right)]
             )
-    return {id(node): tables[id(node)] for node in decomp.postorder()}
+    return tables
 
 
 def _combine_tables(n, node, t1, t2):
     join = node.label == JOIN
-    l_in = node.tag in (TAG_LEFT, TAG_BOTH)
-    r_in = node.tag in (TAG_RIGHT, TAG_BOTH)
+    l_in, r_in = node.l_in, node.r_in
     out = {}
     for (i1, u1, d1, x1), m1 in t1.flags.items():
         for (i2, u2, d2, x2), m2 in t2.flags.items():

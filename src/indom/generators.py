@@ -39,6 +39,8 @@ def _check_vertex_count(n: int) -> None:
 
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
     _check_vertex_count(n)
+    if not 0 <= p <= 1:
+        raise GraphError(f"edge probability {p} out of range 0..1")
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

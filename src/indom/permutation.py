@@ -24,7 +24,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, FormatError, bits, mask_to_list, parse_ints, read_lines
+from .graph import Graph, GraphError, FormatError, mask_to_list, parse_ints, read_lines
 from .oracle import DominationCertificate
 
 
@@ -43,14 +43,6 @@ class PermutationDiagram:
     def left_of(self, i, j):
         """Segment i entirely left of (parallel to) segment j."""
         return self.top[i] < self.top[j] and self.bot[i] < self.bot[j]
-
-    def mirror(self):
-        n = self.n
-        return PermutationDiagram(
-            n,
-            tuple(n - 1 - t for t in self.top),
-            tuple(n - 1 - b for b in self.bot),
-        )
 
 
 def diagram_to_graph(d: PermutationDiagram) -> Graph:
@@ -197,26 +189,6 @@ def _gamma_sets_exact(d):
                 key = (last, z)
                 out.table[key] = out.table.get(key, 0) | acc
     return out
-
-
-def gamma_of_ordered_set(d: PermutationDiagram, g: Graph, m_mask: int) -> int:
-    """gamma(M) for an independent M via the greedy run cover (test oracle)."""
-    members = sorted(bits(m_mask), key=lambda v: d.top[v])
-    if not members:
-        return 0
-    count = 0
-    i = 0
-    while i < len(members):
-        count += 1
-        best_reach = i
-        for w in bits(g.closed[members[i]]):
-            reach = i
-            while reach + 1 < len(members) and g.closed[w] >> members[reach + 1] & 1:
-                reach += 1
-            if g.closed[w] >> members[i] & 1 and reach > best_reach:
-                best_reach = reach
-        i = best_reach + 1
-    return count
 
 
 # --- diagram text format -----------------------------------------------------

@@ -251,34 +251,6 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     return NiceDecomposition(td.n, nodes)
 
 
-def nice_to_decomposition(nd: NiceDecomposition) -> TreeDecomposition:
-    bags = [node.bag for node in nd.nodes]
-    edges = []
-    for i, node in enumerate(nd.nodes):
-        for c in node.children:
-            edges.append((i, c))
-    return TreeDecomposition(nd.n, bags, edges)
-
-
-# --- bag states (documentation/test helper) ----------------------------------
-
-A_WHITE = "in-A-white"
-A_GRAY = "in-A-gray"
-A_SELF = "in-A-and-D"
-D_ONLY = "in-D"
-OUTSIDE = "outside"
-
-
-def bag_status(alpha: int, dmask: int, wmask: int, v: int) -> str:
-    """Status of bag vertex v in a configuration (A-pattern, D-pattern, white set)."""
-    vb = 1 << v
-    if alpha & vb:
-        if dmask & vb:
-            return A_SELF
-        return A_WHITE if wmask & vb else A_GRAY
-    return D_ONLY if dmask & vb else OUTSIDE
-
-
 # --- the DP ------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import random
 
 from indom import Graph
+from indom.distance_hereditary import JOIN, PruneOp
 from indom.graph import bits
 
 
@@ -41,3 +42,40 @@ def cover_of(g, dmask):
     for v in bits(dmask):
         cover |= g.closed[v]
     return cover
+
+
+def twinset_of(g, w):
+    """The members of part w with a neighbour outside w."""
+    outside = g.full_mask & ~w
+    return sum(1 << v for v in bits(w) if g.row[v] & outside)
+
+
+def assert_rank_one(g, d):
+    """Across every node's cut, a left vertex sees exactly the right twinset
+    if it is in the left twinset under a JOIN, and nothing otherwise."""
+    for node in d.postorder():
+        if node.is_leaf:
+            continue
+        q1, q2 = node.left.q, node.right.q
+        for v in bits(node.left.w):
+            cross = g.row[v] & node.right.w
+            if node.label == JOIN and (q1 >> v) & 1:
+                assert cross == q2
+            else:
+                assert cross == 0
+
+
+def valid_ops(g, alive):
+    """Every pendant, true-twin and false-twin elimination (v into u) that is
+    valid among the live vertices."""
+    out = []
+    for v in bits(alive):
+        row, closed = g.row[v] & alive, g.closed[v] & alive
+        for u in bits(alive & ~(1 << v)):
+            if row == 1 << u:
+                out.append(PruneOp("pendant", v, u))
+            if closed == g.closed[u] & alive:
+                out.append(PruneOp("ttwin", v, u))
+            if row == g.row[u] & alive:
+                out.append(PruneOp("ftwin", v, u))
+    return out

@@ -347,6 +347,7 @@ class TestGen:
     @pytest.mark.parametrize("argv", [
         ["gen", "gnp(x,0.3)"], ["gen", "grid(3)"], ["gen", "gnp(5)"], ["gen", "path(3,4)"],
         ["gen", "complete_multipartite(2,)"], ["verify", "--suite", "cograph", "--count", "-4"],
+        ["gen", "gnp(3,1.5)"], ["gen", "gnp(3,-0.1)"], ["gen", "gnp(3,nan)"],
     ])
     def test_bad_arguments_are_json_errors(self, capsys, argv):
         code, reports = run(capsys, argv)

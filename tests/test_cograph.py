@@ -16,7 +16,6 @@ from indom.cograph import (
     build_cotree,
     is_cograph,
     cotree_to_graph,
-    cotree_component_count,
     gamma_cograph,
     gamma_i_cograph,
     parse_cotree,
@@ -152,7 +151,8 @@ class TestCotreeFormat:
         for seed in range(20):
             t = random_cotree(10, seed)
             g = cotree_to_graph(t)
-            assert cotree_component_count(t) == len(connected_components(g))
+            count = len(t.root.children) if t.root.label == UNION else 1
+            assert count == len(connected_components(g))
 
     @pytest.mark.parametrize("line", [
         "node x 0 LEAF 1", "node 2 y LEAF 1", "node 2 0 LEAF z",

@@ -20,7 +20,6 @@ from indom.distance_hereditary import (
     PruningSequence,
     build_dh_decomposition,
     edge_tables,
-    edge_value_items,
     gamma_i_dh,
     parse_sequence,
     recognize_dh,
@@ -30,7 +29,7 @@ from indom.distance_hereditary import (
 from indom.oracle import INF, gamma_i_oracle
 from indom.cograph import ClassMismatchError
 from indom.generators import cycle, gnp, path, random_cograph, random_dh
-from tests.conftest import cover_of, subsets_of
+from tests.conftest import assert_rank_one, cover_of, subsets_of, twinset_of, valid_ops
 
 
 class TestRecognition:
@@ -155,28 +154,13 @@ class TestDecomposition:
             g = made.graph
             d = build_dh_decomposition(g, made.artifact)
             for node in d.postorder():
-                outside = g.full_mask & ~node.w
-                expected = 0
-                for v in bits(node.w):
-                    if g.row[v] & outside:
-                        expected |= 1 << v
-                assert node.q == expected
+                assert node.q == twinset_of(g, node.w)
 
     def test_cross_adjacency_is_twinset_product(self):
         for seed in range(15):
             made = random_dh(12, seed)
             g = made.graph
-            d = build_dh_decomposition(g, made.artifact)
-            for node in d.postorder():
-                if node.is_leaf:
-                    continue
-                q1, q2 = node.left.q, node.right.q
-                for v in bits(node.left.w):
-                    cross = g.row[v] & node.right.w
-                    if node.label == JOIN and (q1 >> v) & 1:
-                        assert cross == q2
-                    else:
-                        assert cross == 0
+            assert_rank_one(g, build_dh_decomposition(g, made.artifact))
 
     def test_rejects_inconsistent_sequence(self):
         g = path(4)
@@ -192,6 +176,139 @@ class TestDecomposition:
         g = build_graph(2, [(0, 1)])
         with pytest.raises(GraphError, match=r"operation 0 \(pendant -?1 -?[01]\): vertex not"):
             build_dh_decomposition(g, PruningSequence((op,), 2))
+
+
+class _RefNode:
+    def __init__(self, vertex=None):
+        self.left = self.right = self.parent = None
+        self.vertex = vertex
+        self.w = self.q = 0
+        self.label = self.tag = None
+
+
+def reference_tree(g, seq):
+    """Root of the tree built by a second route: each operation's node
+    spliced in, in reverse order, where u's leaf hangs; then every node
+    derived from g member by member: its twinset, its label from the cross
+    edges (rejecting a cut that is not rank one) and the tag of which child
+    twinsets make up its own."""
+    leaves = [_RefNode(v) for v in range(g.n)]
+    root = leaves[seq.final_vertex if seq.ops else 0]
+    for op in reversed(seq.ops):
+        u_leaf = leaves[op.u]
+        p = _RefNode()
+        p.left, p.right, p.parent = u_leaf, leaves[op.v], u_leaf.parent
+        if p.parent is None:
+            root = p
+        elif p.parent.left is u_leaf:
+            p.parent.left = p
+        else:
+            p.parent.right = p
+        u_leaf.parent = leaves[op.v].parent = p
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node.vertex is None:
+            stack += [node.left, node.right]
+    for node in reversed(order):
+        if node.vertex is not None:
+            node.w = 1 << node.vertex
+            node.q = node.w if g.row[node.vertex] else 0
+            continue
+        node.w = node.left.w | node.right.w
+        node.q = twinset_of(g, node.w) & (node.left.q | node.right.q)
+        m1, m2, q1, q2 = node.left.w, node.right.w, node.left.q, node.right.q
+        if m2.bit_count() < m1.bit_count():
+            m1, m2, q1, q2 = m2, m1, q2, q1
+        crossing = any(g.row[v] & m2 for v in bits(m1))
+        node.label = JOIN if crossing else UNION
+        for v in bits(m1):
+            if g.row[v] & m2 != (q2 if crossing and q1 >> v & 1 else 0):
+                raise GraphError(f"cut at vertex {v} is not rank one")
+        q, q1, q2 = node.q, node.left.q, node.right.q
+        if q == 0:
+            node.tag = "empty"
+        elif q1 and q2 and q == q1 | q2:
+            node.tag = "both"
+        elif q == q1:
+            node.tag = "left"
+        elif q == q2:
+            node.tag = "right"
+        elif q == q1 | q2:
+            node.tag = "both"
+        else:
+            raise GraphError("twinset is not composed of child twinsets")
+    return root
+
+
+TAGS = {(False, False): "empty", (True, False): "left", (False, True): "right",
+        (True, True): "both"}
+
+
+def assert_matches_reference(g, seq):
+    """The one-pass tree equals the reference node by node, and its node
+    list puts every node after its children and the root last."""
+    d = build_dh_decomposition(g, seq)
+    pairs = [(d.root, reference_tree(g, seq))]
+    matched = 0
+    while pairs:
+        node, ref = pairs.pop()
+        tag = None if node.is_leaf else TAGS[node.l_in, node.r_in]
+        assert (node.vertex, node.w, node.q, node.label, tag) == \
+            (ref.vertex, ref.w, ref.q, ref.label, ref.tag)
+        matched += 1
+        if not node.is_leaf:
+            pairs += [(node.left, ref.left), (node.right, ref.right)]
+    made = set()
+    for node in d.postorder():
+        assert node.is_leaf or {id(node.left), id(node.right)} <= made
+        made.add(id(node))
+    assert matched == len(made) == len(d.postorder()) == 2 * g.n - 1
+    assert d.postorder()[-1] is d.root
+
+
+def random_elimination_order(g, rng):
+    """A pruning sequence taking a uniformly random valid operation at each
+    step, or None when the graph is not distance-hereditary."""
+    alive = g.full_mask
+    ops = []
+    while alive & (alive - 1):
+        choices = valid_ops(g, alive)
+        if not choices:
+            return None
+        op = rng.choice(choices)
+        ops.append(op)
+        alive &= ~(1 << op.v)
+    return PruningSequence(tuple(ops), g.n)
+
+
+class TestOnePassTree:
+    def test_matches_reference_on_generated_sequences(self):
+        for seed in range(1500):
+            made = random_dh(1 + seed % 40, seed)
+            assert_matches_reference(made.graph, made.artifact)
+            g = shuffled(made.graph, seed)
+            assert_matches_reference(g, recognize_dh(g))
+
+    def test_matches_reference_on_random_elimination_orders(self):
+        rng = random.Random(11)
+        orders = 0
+        while orders < 10_000:
+            n = rng.randint(2, 9)
+            g = gnp(n, rng.uniform(0.1, 0.9), rng.randrange(10**9))
+            seq = random_elimination_order(g, rng)
+            if seq is not None:
+                assert_matches_reference(g, seq)
+                orders += 1
+
+    def test_sequence_must_end_at_one_vertex(self):
+        g = path(3)
+        short = PruningSequence((PruneOp("pendant", 0, 1),), 3)
+        with pytest.raises(GraphError, match="single vertex"):
+            build_dh_decomposition(g, short)
+        with pytest.raises(GraphError, match="single vertex"):
+            build_dh_decomposition(Graph(2), PruningSequence((), 2))
 
 
 class TestGammaIDH:
@@ -227,11 +344,7 @@ class TestGammaIDH:
 
     def test_mirrored_decompositions_agree(self):
         # construction anchors the kept vertex on the left, so flipped trees
-        # exercise the right-handed twinset tags
-        from indom.distance_hereditary import _derive_structure
-
-        import random
-
+        # exercise right-hand twinsets staying in their parents'
         for seed in range(60):
             made = random_dh(4 + seed % 10, seed)
             d = build_dh_decomposition(made.graph, made.artifact)
@@ -240,9 +353,9 @@ class TestGammaIDH:
             for node in d.postorder():
                 if not node.is_leaf and rng.random() < 0.7:
                     node.left, node.right = node.right, node.left
+                    node.l_in, node.r_in = node.r_in, node.l_in
                     flipped += 1
             assert flipped > 0
-            _derive_structure(made.graph, d)
             value, cert = gamma_i_dh(made.graph, d)
             assert value == gamma_i_oracle(made.graph)[0]
             assert verify_certificate(made.graph, cert)
@@ -318,8 +431,7 @@ def _combine_by_search(node, items1, items2):
     """The node combine as a search over all 16 child assignments per slot,
     the first strict minimum kept."""
     join = node.label == JOIN
-    l_in = node.tag in ("left", "both")
-    r_in = node.tag in ("right", "both")
+    l_in, r_in = node.l_in, node.r_in
     out = []
     for it1 in items1:
         for it2 in items2:
@@ -344,6 +456,22 @@ def _combine_by_search(node, items1, items2):
             out.append(distance_hereditary._Item(
                 i, it1.a + it2.a, tuple(c), ("comb", it1, it2, tuple(assign))))
     return distance_hereditary._prune_items(out)
+
+
+def edge_value_items(g, decomp):
+    """Per-edge value items (twinset-hit flag, |A|, cost vector): the
+    Pareto-maximal cost vectors over each edge's A-configurations."""
+    table = {}
+    out = {}
+    for node in decomp.postorder():
+        if node.is_leaf:
+            table[id(node)] = distance_hereditary._leaf_items(g, node)
+        else:
+            table[id(node)] = distance_hereditary._combine_items(
+                node, table[id(node.left)], table[id(node.right)]
+            )
+        out[id(node)] = [(it.i, it.a, it.c) for it in table[id(node)]]
+    return out
 
 
 class TestCombineTable:

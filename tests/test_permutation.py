@@ -17,7 +17,6 @@ from indom.permutation import (
     cotree_to_diagram,
     diagram_to_graph,
     gamma_i_permutation,
-    gamma_of_ordered_set,
     gamma_sets,
     parse_diagram,
     serialize_diagram,
@@ -86,7 +85,10 @@ class TestGammaIPermutation:
     def test_mirror_invariance(self):
         for seed in range(25):
             d = random_diagram(9, seed)
-            assert gamma_i_permutation(d)[0] == gamma_i_permutation(d.mirror())[0]
+            n = d.n
+            mirror = PermutationDiagram(n, tuple(n - 1 - t for t in d.top),
+                                        tuple(n - 1 - b for b in d.bot))
+            assert gamma_i_permutation(d)[0] == gamma_i_permutation(mirror)[0]
 
 
 def brute_force_gamma_sets(d):
@@ -142,6 +144,23 @@ class TestDiagramFormat:
         assert parse_diagram(serialize_diagram(d)) == d
 
     def test_interval_cover_helper(self):
+        def gamma_of_ordered_set(d, g, m_mask):
+            """gamma(M) for an independent M via the greedy run cover."""
+            members = sorted(bits(m_mask), key=lambda v: d.top[v])
+            count = 0
+            i = 0
+            while i < len(members):
+                count += 1
+                best_reach = i
+                for w in bits(g.closed[members[i]]):
+                    reach = i
+                    while reach + 1 < len(members) and g.closed[w] >> members[reach + 1] & 1:
+                        reach += 1
+                    if g.closed[w] >> members[i] & 1 and reach > best_reach:
+                        best_reach = reach
+                i = best_reach + 1
+            return count
+
         d = random_diagram(10, 1)
         g = diagram_to_graph(d)
         for msk in range(1, 1 << 10, 37):

@@ -16,16 +16,9 @@ from indom.treewidth import (
     DPStats,
     NiceDecomposition,
     TreeDecomposition,
-    A_GRAY,
-    A_SELF,
-    A_WHITE,
-    D_ONLY,
-    OUTSIDE,
-    bag_status,
     gamma_i_treewidth,
     heuristic_decomposition,
     make_nice,
-    nice_to_decomposition,
     parse_decomposition,
     serialize_decomposition,
     validate_decomposition,
@@ -131,6 +124,12 @@ class TestHeuristic:
                 assert (td.bags, td.edges) == _full_scan_decomposition(g, order)
 
 
+def nice_to_decomposition(nd):
+    """The nice decomposition as a plain one: its bags, child edges kept."""
+    edges = [(i, c) for i, node in enumerate(nd.nodes) for c in node.children]
+    return TreeDecomposition(nd.n, [node.bag for node in nd.nodes], edges)
+
+
 class TestNiceForm:
     def test_structure(self):
         for seed in range(10):
@@ -155,6 +154,23 @@ class TestNiceForm:
             assert nd.width == td.width
             back = nice_to_decomposition(nd)
             assert validate_decomposition(g, back) is None
+
+
+A_WHITE = "in-A-white"
+A_GRAY = "in-A-gray"
+A_SELF = "in-A-and-D"
+D_ONLY = "in-D"
+OUTSIDE = "outside"
+
+
+def bag_status(alpha, dmask, wmask, v):
+    """Status of bag vertex v in a configuration (A-pattern, D-pattern, white set)."""
+    vb = 1 << v
+    if alpha & vb:
+        if dmask & vb:
+            return A_SELF
+        return A_WHITE if wmask & vb else A_GRAY
+    return D_ONLY if dmask & vb else OUTSIDE
 
 
 class TestBagStatus:
