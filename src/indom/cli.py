@@ -190,6 +190,7 @@ def _dispatch_gamma_i(g, args, cotree, diagram, td):
         return "permutation", value, cert, {}
     if algo == "permutation":
         raise GraphError("permutation solver needs --diagram (recognition is out of scope)")
+    refused = None
     if algo in ("auto", "treewidth"):
         decomposition = td if td is not None else heuristic_decomposition(g)
         stats = DPStats()
@@ -197,10 +198,16 @@ def _dispatch_gamma_i(g, args, cotree, diagram, td):
             value, cert = gamma_i_treewidth(g, decomposition, args.width_ceiling, stats)
             return "treewidth", value, cert, {"width": decomposition.width,
                                               "stats": stats.as_dict()}
-        except CapacityError:
+        except CapacityError as exc:
             if algo == "treewidth":
                 raise
-    value, cert, stats = gamma_i_exact(g, beta=args.beta, ceiling=args.exact_ceiling)
+            refused = exc
+    try:
+        value, cert, stats = gamma_i_exact(g, beta=args.beta, ceiling=args.exact_ceiling)
+    except GraphError as exc:
+        if refused is None:
+            raise
+        raise GraphError(f"{exc}; treewidth solver: {refused}") from None
     return "exact", value, cert, {"stats": stats.as_dict()}
 
 

@@ -161,6 +161,7 @@ def random_dh(n: int, seed: int = 0) -> Generated:
 
 
 def random_diagram(n: int, seed: int = 0) -> PermutationDiagram:
+    _check_vertex_count(n)
     rng = random.Random(seed)
     bot = list(range(n))
     rng.shuffle(bot)

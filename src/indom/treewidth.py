@@ -10,14 +10,25 @@ A-class is what lets the root take a maximum over A of a minimum over D;
 a flat boolean table over counts cannot, because independent sets of equal
 size with different domination costs would be merged.
 
-Tables are closed under white subsets: with (dm, w), every (dm, w') with w'
-inside w is present at equal or lower cost. An entry reads "at least w
-dominated", a lookup is one dict access and equal cost functions have equal
-tables. Forget keeps the closure. Introduce writes the closed table directly:
-as the child's table is closed, the entry for "at least w" after a new
-dominator v is the child's entry for w minus what v whitens, so each key is
-written once. Join pairs only disjoint white sets under equal D-patterns, as
-closure supplies every disjoint split of a union.
+Tables are dense lists in bag-local bits. With the bag's vertices and the
+item's A-vertices each in increasing id order, the entry for D-pattern d and
+white set w sits at index d | w << |bag|, so every white set owns one block
+of 2^|bag| entries, one per D-pattern. An infeasible entry holds INF. Each
+step is a few whole-list passes: introduce and forget gather through index
+maps that depend only on a table's shape and are kept, up to a bound, for
+the next node of that shape; join adds whole blocks.
+
+Tables are closed under white subsets: entry (d, w) costs at least entry
+(d, w') for every w' inside w. An entry reads "at least w dominated" and
+equal cost functions have equal tables. Forget keeps the closure. Introduce
+writes the closed table directly: as the child's table is closed, the entry
+for "at least w" after a new dominator v is the child's entry for w minus
+what v whitens, so each entry is one gather. Join adds blocks only for
+disjoint white sets, as closure supplies every disjoint split of a union.
+
+A node's entry count follows from its children's shapes before any list is
+built. Above TABLE_BUDGET entries it raises CapacityError, so an instance
+too wide for memory is refused instead of exhausting it.
 
 Each item carries its members, the A-vertices of its whole subtree, so the
 root's best item names its independent set without a walk back down, and a
@@ -26,14 +37,24 @@ node's tables can be dropped as soon as its parent is built.
 
 from __future__ import annotations
 
+import heapq
 import sys
+import threading
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import add, attrgetter, le, sub
 
 from .graph import (MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from,
                     mask_to_list, parse_ints, read_lines)
 from .oracle import DominationCertificate
 
 DEFAULT_WIDTH_CEILING = 12
+INF = float("inf")  # cost of an infeasible table entry
+# Most table entries one nice node may allocate. Width-7 instances need about
+# 1.1 M; refusing beyond this ends a call before its tables exhaust memory.
+TABLE_BUDGET = 1 << 22
+MAP_CACHE_ENTRIES = 1 << 18  # most index-map entries kept between nodes
 
 
 class CapacityError(GraphError):
@@ -120,38 +141,60 @@ def validate_decomposition(g: Graph, td: TreeDecomposition):
 
 
 def heuristic_decomposition(g: Graph, order: str = "fill") -> TreeDecomposition:
-    """Elimination-based decomposition; min-fill by default, no width claim."""
+    """Elimination-based decomposition; min-fill by default, no width claim.
+
+    Each step eliminates the live vertex of least (score, id), the first
+    minimum in id order. Scores are kept per vertex in a heap whose stale
+    entries are skipped when popped. Eliminating v turns its live neighbors
+    into a clique: their scores are recomputed, and each fill edge x-y lowers
+    the fill score of every other common neighbor of x and y by one."""
     n = g.n
     if n == 0:
         return TreeDecomposition(0, [0], [])
     rows = list(g.row)
     alive = g.full_mask
+
+    def score(v, clique):
+        """v's score, its live neighbors in `clique` being pairwise adjacent."""
+        rest = rows[v] & alive & ~clique
+        if order == "degree":
+            return rest.bit_count() + clique.bit_count()
+        inner = cross = 0
+        for x in bits(rest):
+            inner += (rest & ~rows[x]).bit_count() - 1
+            cross += (clique & ~rows[x]).bit_count()
+        return inner // 2 + cross
+
+    scores = [score(v, 0) for v in range(n)]
+    heap = [(s, v) for v, s in enumerate(scores)]
+    heapq.heapify(heap)
     bags = []
     elim_pos = {}
     elim_order = []
     for step in range(n):
-        best_v, best_score = -1, None
-        for v in bits(alive):
-            nb = rows[v] & alive & ~(1 << v)
-            if order == "degree":
-                score = nb.bit_count()
-            else:
-                fill = 0
-                for u in bits(nb):
-                    fill += (nb & ~rows[u] & ~(1 << u)).bit_count()
-                score = fill // 2
-            if best_score is None or score < best_score:
-                best_v, best_score = v, score
-                if not score:
-                    break  # nothing scores lower, and the first minimum wins
-        v = best_v
-        nb = rows[v] & alive & ~(1 << v)
+        while True:
+            s, v = heapq.heappop(heap)
+            if alive >> v & 1 and scores[v] == s:
+                break
+        nb = rows[v] & alive
         bags.append(nb | (1 << v))
         elim_pos[v] = step
         elim_order.append(v)
-        for u in bits(nb):
-            rows[u] |= nb & ~(1 << u)
         alive &= ~(1 << v)
+        changed = nb
+        if order != "degree":
+            for x in bits(nb):
+                for y in bits(nb & ~rows[x] & ~((2 << x) - 1)):
+                    common = rows[x] & rows[y] & alive & ~nb
+                    changed |= common
+                    for u in bits(common):
+                        scores[u] -= 1
+        for u in bits(nb):
+            clique = nb & ~(1 << u)
+            rows[u] |= clique
+            scores[u] = score(u, clique)
+        for u in bits(changed):
+            heapq.heappush(heap, (scores[u], u))
     edges = []
     roots = []
     for step, v in enumerate(elim_order):
@@ -257,15 +300,129 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 @dataclass(slots=True, eq=False)
 class _Item:
     alpha: int  # A inside the bag
-    table: dict
+    table: list  # cost at d | w << |bag| in bag-local bits, INF if infeasible
     members: int  # A in the whole subtree, forgotten vertices included
+
+    def as_dict(self, bag):
+        """The finite entries as {(D-in-bag mask, white mask): cost}."""
+        ds, ws = _subsets(bag), _subsets(self.alpha)
+        return {
+            (ds[i % len(ds)], ws[i // len(ds)]): c
+            for i, c in enumerate(self.table) if c != INF
+        }
+
+
+def _subsets(mask):
+    """Every subset of mask, indexed by its bag-local bit pattern."""
+    out = [0]
+    for u in bits(mask):
+        out += [m | 1 << u for m in out]
+    return out
+
+
+def _rank(mask, v):
+    """Position of v among the bits of mask, counted from the lowest."""
+    return (mask & ((1 << v) - 1)).bit_count()
+
+
+def _local(mask, within):
+    """mask restricted to within, with each bit renumbered by its rank."""
+    return sum(1 << _rank(within, u) for u in bits(mask & within))
+
+
+def _drop(x, p):
+    """x with bit p taken out and the higher bits moved down one."""
+    return (x & ((1 << p) - 1)) | (x >> (p + 1)) << p
+
+
+def _insert(x, p):
+    """x with a zero bit put in at position p."""
+    return (x & ((1 << p) - 1)) | (x >> p) << (p + 1)
+
+
+# An index map lists source positions: a step builds its table as
+# [src[i] for i in m]. Maps depend only on a table's shape (bag size, A size,
+# the positions of the vertex and a small local pattern), never on the
+# instance, so one built for a shape serves every later node and call of that
+# shape. The cache keeps them as tuples, up to MAP_CACHE_ENTRIES in all.
+
+
+def _introduce_map(a, b, p, seen):
+    """Introduce v at bag position p outside A. The source is the child's
+    table (2^(a+b) entries) followed by the same plus one: with v in D the
+    entry for white set w is the child's for w minus what v whitens, `seen`."""
+    n = 1 << (a + b)
+    out = []
+    for w in range(1 << a):
+        base0, base1 = w << b, n + ((w & ~seen) << b)
+        out += [_drop(d, p) + (base1 if d >> p & 1 else base0) for d in range(2 << b)]
+    return out
+
+
+def _add_to_a_map(a, b, p, q, row):
+    """Introduce v at bag position p into A at position q. With v in D it is
+    white and pays one; otherwise it may be white only if a D-vertex of the
+    child's bag in `row` dominates it, and reads INF (index 2n) if not."""
+    n = 1 << (a + b)
+    out = []
+    for w in range(2 << a):
+        base = _drop(w, q) << b
+        free = not w >> q & 1
+        for d in range(2 << b):
+            rest = _drop(d, p)
+            if d >> p & 1:
+                out.append(n + base + rest)
+            else:
+                out.append(base + rest if free or rest & row else 2 * n)
+    return out
+
+
+def _forget_map(a, b, p, q):
+    """Forget v at bag position p of b, at position q of A (-1 if v is not in
+    A). The first half reads v outside D, the second v in D; a forgotten
+    member of A is read as white."""
+    outside = []
+    for w in range(1 << (a - (q >= 0))):
+        if q >= 0:
+            w = _insert(w, q) | 1 << q
+        outside += [_insert(d, p) | w << b for d in range(1 << (b - 1))]
+    return outside + [i | 1 << p for i in outside]
+
+
+class _MapCache:
+    """Index maps by builder and shape, holding at most `limit` entries in
+    all: a map larger than that is built and not kept, and a cache that
+    would overflow is emptied first. Threads may share it."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.maps = {}
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def get(self, build, *shape):
+        key = (build, *shape)
+        m = self.maps.get(key)
+        if m is None:
+            m = tuple(build(*shape))
+            with self.lock:
+                if len(m) <= self.limit:
+                    if self.size + len(m) > self.limit:
+                        self.maps.clear()
+                        self.size = 0
+                    self.maps[key] = m
+                    self.size += len(m)
+        return m
+
+
+_maps = _MapCache(MAP_CACHE_ENTRIES)
 
 
 @dataclass
 class DPStats:
     """Size of one bag DP: items and table entries at the largest node, and
     the most table entries live at once (a node's tables live until its
-    parent is built)."""
+    parent is built). Entries count dense slots, infeasible ones included."""
 
     nice_nodes: int = 0
     max_items: int = 0
@@ -277,13 +434,9 @@ class DPStats:
 
 
 def _at_least(b, a):
-    """True if table b costs at least as much as table a on every key of b,
-    so a never wins the maximum over A."""
-    for key, c in b.items():
-        ca = a.get(key)
-        if ca is None or ca > c:
-            return False
-    return True
+    """True if table b costs at least as much as table a everywhere, so a
+    never wins the maximum over A. Both have the layout of one A-pattern."""
+    return all(map(le, a, b))
 
 
 def _merge_items(items):
@@ -304,10 +457,33 @@ def _merge_items(items):
     return out
 
 
+def _planned_entries(g, node, kids):
+    """Table entries a node allocates before merging, from its children's
+    shapes alone."""
+    b = node.bag.bit_count()
+    if node.kind == LEAF:
+        return 1
+    if node.kind == JOIN:
+        right = Counter(it.alpha for it in kids[1])
+        return sum(right[it.alpha] << (b + it.alpha.bit_count()) for it in kids[0])
+    total = 0
+    vb = 1 << node.vertex
+    for it in kids[0]:
+        a = it.alpha.bit_count()
+        if node.kind == FORGET:
+            total += 1 << (b + a - bool(it.alpha & vb))
+        else:
+            total += 1 << (b + a)
+            if not g.row[node.vertex] & it.alpha:
+                total += 2 << (b + a)
+    return total
+
+
 def _dp_nodes(g, nd, stats=None):
     """Yield (node index, items) for every nice node, children first. A
     node's items are dropped once its parent is built, so only the tables
-    of the frontier stay live."""
+    of the frontier stay live. A node that would allocate more than
+    TABLE_BUDGET entries raises CapacityError before it allocates any."""
     if stats is None:
         stats = DPStats()
     stats.nice_nodes = len(nd.nodes)
@@ -316,15 +492,21 @@ def _dp_nodes(g, nd, stats=None):
     live_entries = 0
     for idx, node in enumerate(nd.nodes):
         kids = [live.pop(c) for c in node.children]
+        need = _planned_entries(g, node, kids)
+        if need > TABLE_BUDGET:
+            raise CapacityError(
+                f"nice node {idx} (bag width {node.bag.bit_count() - 1}) needs {need} "
+                f"table entries, above the budget of {TABLE_BUDGET}"
+            )
         if node.kind == LEAF:
-            items = [_Item(0, {(0, 0): 0}, 0)]
+            items = [_Item(0, [0], 0)]
         elif node.kind == INTRODUCE:
             items = _introduce(g, node, kids[0])
         elif node.kind == FORGET:
-            items = _forget(node, kids[0])
+            items = _merge_items(_forget(node, kids[0]))
         else:
-            items = _join(*kids)
-        live[idx] = items = _merge_items(items)
+            items = _merge_items(_join(node, *kids))
+        live[idx] = items
         entries = sizes[idx] = sum(len(it.table) for it in items)
         live_entries += entries
         stats.max_items = max(stats.max_items, len(items))
@@ -337,73 +519,79 @@ def _dp_nodes(g, nd, stats=None):
 
 def _introduce(g, node, child_items):
     """Closed tables straight from closed child tables: the cheapest way to
-    reach "at least wm dominated" is the child entry for wm minus what v
-    dominates, so every key is written once and no minimum is taken."""
+    reach "at least w dominated" with v in D is the child entry for w minus
+    what v dominates, so every entry is one gather and no minimum is taken.
+    Every child entry is copied, so items stay mutually unbounded; emitting
+    each A-pattern's items before those that add v keeps the merged order."""
     v = node.vertex
     vb = 1 << v
     row = g.row[v]
+    b = node.bag.bit_count() - 1
+    p = _rank(node.bag, v)
+    row_local = _local(row, node.bag & ~vb)
     items = []
-    for it in child_items:
-        seen = row & it.alpha
-        whitened = [0]  # every subset of seen
-        for u in bits(seen):
-            whitened += [b | 1 << u for b in whitened]
-        table = dict(it.table)
-        for (dm, wm), c in it.table.items():
-            if not wm & seen:
-                for b in whitened:
-                    table[dm | vb, wm | b] = c + 1
-        items.append(_Item(it.alpha, table, it.members))
-        if not seen:
-            table = {}
-            for (dm, wm), c in it.table.items():
-                table[dm, wm] = c
-                if dm & row:
-                    table[dm, wm | vb] = c
-                table[dm | vb, wm] = table[dm | vb, wm | vb] = c + 1
-            items.append(_Item(it.alpha | vb, table, it.members | vb))
+    for alpha, group in groupby(child_items, key=attrgetter("alpha")):
+        a = alpha.bit_count()
+        seen = row & alpha
+        keep = _maps.get(_introduce_map, a, b, p, _local(seen, alpha))
+        join_a = None if seen else _maps.get(_add_to_a_map, a, b, p, _rank(alpha, v), row_local)
+        added = []
+        for it in group:
+            src = it.table + [c + 1 for c in it.table]
+            src.append(INF)
+            items.append(_Item(alpha, [src[i] for i in keep], it.members))
+            if join_a is not None:
+                added.append(_Item(alpha | vb, [src[i] for i in join_a], it.members | vb))
+        items += added
     return items
 
 
 def _forget(node, child_items):
     v = node.vertex
     vb = 1 << v
+    b = node.bag.bit_count() + 1
+    p = _rank(node.bag, v)
     items = []
     for it in child_items:
-        in_a = bool(it.alpha & vb)
-        table = {}
-        for (dm, wm), c in it.table.items():
-            if in_a and not (wm & vb):
-                continue  # a forgotten member of A must be dominated by now
-            key = (dm & ~vb, wm & ~vb)
-            old = table.get(key)
-            if old is None or c < old:
-                table[key] = c
-        if table:
+        q = _rank(it.alpha, v) if it.alpha & vb else -1
+        m = _maps.get(_forget_map, it.alpha.bit_count(), b, p, q)
+        both = [it.table[i] for i in m]
+        table = [x if x < y else y for x, y in zip(both, both[len(m) // 2:])]
+        if min(table) < INF:
             items.append(_Item(it.alpha & ~vb, table, it.members))
     return items
 
 
-def _join(items1, items2):
+def _join(node, items1, items2):
+    """Pairs of items with equal A-patterns. White set w is the block of
+    entries w << |bag| onwards, one entry per D-pattern, and each split of w
+    into disjoint w1 | w2 adds two whole blocks."""
+    size = 1 << node.bag.bit_count()
+    dominators = [d.bit_count() for d in range(size)]
     by_alpha = {}
     for it in items2:
-        by_d = {}
-        for (dm, wm), c in it.table.items():
-            by_d.setdefault(dm, []).append((wm, c))
-        by_alpha.setdefault(it.alpha, []).append((it, by_d))
+        t = it.table
+        blocks = [t[i:i + size] for i in range(0, len(t), size)]
+        by_alpha.setdefault(it.alpha, []).append((it, blocks))
     items = []
     for it1 in items1:
-        for it2, by_d in by_alpha.get(it1.alpha, ()):
-            table = {}
-            for (dm, w1), c1 in it1.table.items():
-                c1 -= dm.bit_count()  # both sides count the bag's dominators
-                for w2, c2 in by_d.get(dm, ()):
-                    if not w1 & w2:
-                        key = (dm, w1 | w2)
-                        old = table.get(key)
-                        if old is None or c1 + c2 < old:
-                            table[key] = c1 + c2
-            if table:
+        pairs = by_alpha.get(it1.alpha)
+        if not pairs:
+            continue
+        t = it1.table
+        # both sides count the bag's dominators
+        left = [list(map(sub, t[i:i + size], dominators)) for i in range(0, len(t), size)]
+        for it2, right in pairs:
+            table = []
+            for w in range(len(left)):
+                acc = list(map(add, left[w], right[0]))
+                w1 = w
+                while w1:
+                    w1 = (w1 - 1) & w
+                    acc = [x if x < y else y
+                           for x, y in zip(acc, map(add, left[w1], right[w ^ w1]))]
+                table += acc
+            if min(table) < INF:
                 items.append(_Item(it1.alpha, table, it1.members | it2.members))
     return items
 
@@ -431,8 +619,8 @@ def gamma_i_treewidth(
         raise GraphError(f"invalid tree decomposition ({bad})")
     for _, root_items in _dp_nodes(g, make_nice(td), stats):
         pass  # only the root's items are needed
-    best_item = max(root_items, key=lambda it: it.table[0, 0])
-    best_value = best_item.table[0, 0]
+    best_item = max(root_items, key=lambda it: it.table[0])
+    best_value = best_item.table[0]
     a_mask = best_item.members
     from .exactexp import gamma_of_independent_set_fast
 

@@ -9,7 +9,7 @@ import pytest
 import indom
 from indom import cli, cograph
 from indom.cli import main
-from indom.generators import cycle, grid, path
+from indom.generators import cycle, gnp, grid, path
 from indom.graph import serialize
 
 
@@ -354,7 +354,8 @@ class TestGen:
         assert code == 2
         assert len(reports) == 1 and "error" in reports[0]
 
-    @pytest.mark.parametrize("descriptor", ["gnp(4000001,0)", "grid(2001,2000)", "grid(-3,2)"])
+    @pytest.mark.parametrize("descriptor", ["gnp(4000001,0)", "grid(2001,2000)", "grid(-3,2)",
+                                            "random_permutation(-1)"])
     def test_oversized_generator_refused_before_building(self, descriptor):
         # a separate process, so that building the edges first fails by timeout
         env = dict(os.environ, PYTHONPATH=str(Path(indom.__file__).parents[1]))
@@ -375,6 +376,31 @@ class TestGen:
         seq = parse_sequence((tmp_path / "seq.txt").read_text())
         g = parse((tmp_path / "g.txt").read_text())
         assert replay_sequence(seq) == g
+
+
+def test_wide_instance_ends_as_one_json_line(tmp_path):
+    # width 9: a table DP without a budget exhausts 3 GB before it answers
+    resource = pytest.importorskip("resource")
+    target = write_graph(tmp_path, gnp(60, 0.05, 5))
+    cap = 3 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(indom.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "indom.cli", "gamma-i", target],
+                          capture_output=True, text=True, env=env, timeout=300,
+                          preexec_fn=limit_memory)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    if done.returncode == 0:
+        assert report["value"] == 19
+    else:
+        assert done.returncode == 2 and "budget" in report["error"]
 
 
 def test_product_check_command(capsys):

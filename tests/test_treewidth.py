@@ -11,6 +11,7 @@ from indom import (
     mask_from,
     verify_certificate,
 )
+from indom import treewidth
 from indom.treewidth import (
     CapacityError,
     DPStats,
@@ -26,7 +27,7 @@ from indom.treewidth import (
     _dp_nodes,
 )
 from indom.oracle import gamma_i_oracle
-from indom.generators import cycle, gnp, grid, path, star
+from indom.generators import cycle, gnp, grid, path, random_chordal, star
 from tests.conftest import cover_of, subsets_of
 
 
@@ -88,6 +89,20 @@ def _full_scan_decomposition(g, order):
     return bags, edges
 
 
+def _with_c5(g, x):
+    """g with an induced 5-cycle through vertex x."""
+    a, b, c, d = range(g.n, g.n + 4)
+    return Graph(g.n + 4, list(g.edges()) + [(x, a), (a, b), (b, c), (c, d), (d, x)])
+
+
+def _treewidth_pool():
+    """Graphs like the treewidth benchmark's: 3xk and 4xk grids, and random
+    chordal graphs with an induced C5 through one vertex."""
+    graphs = [grid(3, c) for c in range(8, 16)] + [grid(4, c) for c in range(5, 9)]
+    graphs += [_with_c5(random_chordal(n, n), n // 2) for n in range(30, 66, 2)]
+    return graphs
+
+
 class TestHeuristic:
     def test_tree_gets_width_one(self):
         g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)])
@@ -116,8 +131,10 @@ class TestHeuristic:
                 assert validate_decomposition(g, td) is None
 
     def test_same_decomposition_as_full_scan(self):
-        graphs = [gnp(3 + seed % 25, 0.05 + (seed % 7) * 0.06, seed) for seed in range(200)]
+        graphs = [gnp(3 + seed % 58, 0.03 + (seed % 7) * 0.05, seed) for seed in range(200)]
         graphs += [grid(r, c) for r, c in [(1, 6), (2, 5), (3, 7), (4, 4), (5, 6)]]
+        graphs += [random_chordal(5 + seed * 3, seed) for seed in range(20)]
+        graphs += _treewidth_pool()
         for g in graphs:
             for order in ("fill", "degree"):
                 td = heuristic_decomposition(g, order)
@@ -276,9 +293,10 @@ class TestPerNodeTableOracle:
                 by_alpha = {}
                 for it in done[idx]:
                     fn = {}
-                    for ds in {k[0] for k in it.table}:
+                    table = it.as_dict(node.bag)
+                    for ds in {k[0] for k in table}:
                         for w in subsets_of(it.alpha):
-                            q = it.table.get((ds, w))
+                            q = table.get((ds, w))
                             if q is not None:
                                 fn[(ds, w)] = q
                     by_alpha.setdefault(it.alpha, []).append(fn)
@@ -304,17 +322,122 @@ class TestClosedTables:
     def test_every_table_closed_and_no_item_dominated(self):
         for seed in range(30):
             g = gnp(5 + seed % 6, 0.3, seed)
-            done = dict(_dp_nodes(g, make_nice(heuristic_decomposition(g))))
-            for items in done.values():
-                for it in items:
-                    for (dm, w), c in it.table.items():
+            nd = make_nice(heuristic_decomposition(g))
+            for idx, items in _dp_nodes(g, nd):
+                tables = [it.as_dict(nd.nodes[idx].bag) for it in items]
+                for table in tables:
+                    for (dm, w), c in table.items():
                         for v in bits(w):
-                            sub = it.table.get((dm, w & ~(1 << v)))
+                            sub = table.get((dm, w & ~(1 << v)))
                             assert sub is not None and sub <= c
-                for a in items:
-                    for b in items:
+                for a, ta in zip(items, tables):
+                    for b, tb in zip(items, tables):
                         if a is not b and a.alpha == b.alpha:
-                            assert not _fn_at_least(a.table, b.table)
+                            assert not _fn_at_least(ta, tb)
+
+
+def _reference_dp_nodes(g, nd):
+    """The bag DP with dict tables {(D-in-bag mask, white mask): cost}: yield
+    (node index, [(alpha, members, table)]) for every nice node."""
+    done = {}
+    for idx, node in enumerate(nd.nodes):
+        kids = [done.pop(c) for c in node.children]
+        v = node.vertex
+        vb = 0 if v is None else 1 << v
+        items = []
+        if node.kind == "leaf":
+            items = [(0, 0, {(0, 0): 0})]
+        elif node.kind == "introduce":
+            row = g.row[v]
+            for alpha, members, child in kids[0]:
+                seen = row & alpha
+                whitened = [0]
+                for u in bits(seen):
+                    whitened += [b | 1 << u for b in whitened]
+                table = dict(child)
+                for (dm, wm), c in child.items():
+                    if not wm & seen:
+                        for b in whitened:
+                            table[dm | vb, wm | b] = c + 1
+                items.append((alpha, members, table))
+                if not seen:
+                    table = {}
+                    for (dm, wm), c in child.items():
+                        table[dm, wm] = c
+                        if dm & row:
+                            table[dm, wm | vb] = c
+                        table[dm | vb, wm] = table[dm | vb, wm | vb] = c + 1
+                    items.append((alpha | vb, members | vb, table))
+        elif node.kind == "forget":
+            for alpha, members, child in kids[0]:
+                table = {}
+                for (dm, wm), c in child.items():
+                    if alpha & vb and not wm & vb:
+                        continue
+                    key = (dm & ~vb, wm & ~vb)
+                    table[key] = min(c, table.get(key, c))
+                if table:
+                    items.append((alpha & ~vb, members, table))
+        else:
+            for alpha, members1, t1 in kids[0]:
+                for alpha2, members2, t2 in kids[1]:
+                    if alpha2 != alpha:
+                        continue
+                    by_d = {}
+                    for (dm, w2), c2 in t2.items():
+                        by_d.setdefault(dm, []).append((w2, c2))
+                    table = {}
+                    for (dm, w1), c1 in t1.items():
+                        for w2, c2 in by_d.get(dm, ()):
+                            if not w1 & w2:
+                                c = c1 + c2 - dm.bit_count()
+                                table[dm, w1 | w2] = min(c, table.get((dm, w1 | w2), c))
+                    if table:
+                        items.append((alpha, members1 | members2, table))
+        grouped = {}  # per A-pattern, the items no other item bounds from above
+        for it in items:
+            grouped.setdefault(it[0], []).append(it)
+        done[idx] = []
+        for group in grouped.values():
+            kept = []
+            for it in group:
+                if not any(_fn_at_least(b[2], it[2]) for b in kept):
+                    kept = [b for b in kept if not _fn_at_least(it[2], b[2])]
+                    kept.append(it)
+            done[idx] += kept
+        yield idx, done[idx]
+
+
+class TestDenseTables:
+    def test_items_equal_dict_reference(self):
+        graphs = [gnp(4 + seed % 10, 0.15 + (seed % 5) * 0.07, seed) for seed in range(60)]
+        graphs += [grid(2, 5), grid(3, 4), grid(4, 4)]
+        graphs += [random_chordal(6 + seed, seed) for seed in range(12)]
+        for g in graphs:
+            nd = make_nice(heuristic_decomposition(g))
+            expected = dict(_reference_dp_nodes(g, nd))
+            for idx, items in _dp_nodes(g, nd):
+                got = sorted((it.alpha, it.members, sorted(it.as_dict(nd.nodes[idx].bag).items()))
+                             for it in items)
+                assert got == sorted((a, m, sorted(t.items())) for a, m, t in expected[idx])
+
+    def test_index_map_cache_stays_bounded(self, monkeypatch):
+        g = grid(4, 6)
+        expected = gamma_i_treewidth(g)
+        cache = treewidth._MapCache(200)
+        monkeypatch.setattr(treewidth, "_maps", cache)
+        assert gamma_i_treewidth(g) == expected
+        assert 0 < cache.size == sum(map(len, cache.maps.values())) <= 200
+
+    def test_budget_refused_before_allocation(self, monkeypatch):
+        g = grid(4, 6)
+        nd = make_nice(heuristic_decomposition(g))
+        stats = DPStats()
+        for _ in _dp_nodes(g, nd, stats):
+            pass
+        monkeypatch.setattr(treewidth, "TABLE_BUDGET", stats.max_entries - 1)
+        with pytest.raises(CapacityError, match="budget"):
+            gamma_i_treewidth(g)
 
 
 def _items_reachable(obj):
@@ -334,8 +457,8 @@ def _items_reachable(obj):
 
 class TestDroppedTables:
     def test_no_item_refers_to_another(self):
-        leaf = _Item(0, {(0, 0): 0}, 0)  # an item held through a tuple is found
-        assert _items_reachable(_Item(0, {}, ("intro", leaf, 0, False))) == [leaf]
+        leaf = _Item(0, [0], 0)  # an item held through a tuple is found
+        assert _items_reachable(_Item(0, [], ("intro", leaf, 0, False))) == [leaf]
         for seed in range(10):
             g = gnp(6 + seed % 5, 0.3, seed)
             for items in dict(_dp_nodes(g, make_nice(heuristic_decomposition(g)))).values():
