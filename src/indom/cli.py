@@ -26,6 +26,8 @@ from .graph import (
     mask_to_list,
     parse,
     parse_ints,
+    product_pair,
+    serialize,
 )
 from .oracle import (
     DominationCertificate,
@@ -36,21 +38,31 @@ from .oracle import (
 )
 from .cograph import (
     ClassMismatchError,
+    Cotree,
     P4Witness,
     build_cotree,
     cotree_to_graph,
     gamma_cograph,
     gamma_i_cograph,
     parse_cotree,
+    serialize_cotree,
 )
 from .distance_hereditary import (
     DHFailure,
     DHStats,
+    PruningSequence,
     build_dh_decomposition,
     gamma_i_dh,
     recognize_dh,
+    serialize_sequence,
 )
-from .permutation import diagram_to_graph, gamma_i_permutation, parse_diagram
+from .permutation import (
+    PermutationDiagram,
+    diagram_to_graph,
+    gamma_i_permutation,
+    parse_diagram,
+    serialize_diagram,
+)
 from .treewidth import (
     DEFAULT_WIDTH_CEILING,
     CapacityError,
@@ -232,34 +244,26 @@ def _witness_dict(witness):
 
 def cmd_oracle(args):
     g = _load_graph(args)
-    if args.what == "gamma":
-        value, witness = gamma(g)
-        cert = DominationCertificate(g.full_mask, witness, value)
-        report = {"input": args.input, "value": value, "witness": mask_to_list(witness)}
-        if args.certify:
-            report["verified"] = dominates(g, witness, g.full_mask)
-        _emit(report)
-        return 0 if not args.certify or report.get("verified", True) else 1
     if args.what == "gamma-i":
         value, cert = gamma_i_oracle(g)
         return _report(args, g, "oracle", value, cert)
-    targets = 0
-    if args.set:
-        ids = parse_ints(args.set.split(","), what="comma-separated ids for --set")
-        if not all(0 <= v < g.n for v in ids):
-            raise GraphError(f"--set names a vertex outside 0..{g.n - 1}")
-        targets = mask_from(ids)
+    # gamma is the domination number of the whole vertex set
+    report = {"input": args.input}
+    targets = g.full_mask
+    if args.what == "gamma-set":
+        targets = 0
+        if args.set:
+            ids = parse_ints(args.set.split(","), what="comma-separated ids for --set")
+            if not all(0 <= v < g.n for v in ids):
+                raise GraphError(f"--set names a vertex outside 0..{g.n - 1}")
+            targets = mask_from(ids)
+        report["set"] = mask_to_list(targets)
     value, witness = gamma_of_set(g, targets)
-    report = {
-        "input": args.input,
-        "set": mask_to_list(targets),
-        "value": value,
-        "witness": mask_to_list(witness),
-    }
+    report.update(value=value, witness=mask_to_list(witness))
     if args.certify:
         report["verified"] = dominates(g, witness, targets)
     _emit(report)
-    return 0 if not args.certify or report.get("verified", True) else 1
+    return 0 if report.get("verified", True) else 1
 
 
 def cmd_exact(args):
@@ -279,100 +283,63 @@ def cmd_ptas(args):
     return _report(args, g, "ptas", result.value, result.certificate, extra)
 
 
+_ARTIFACT_WRITERS = {
+    Cotree: serialize_cotree,
+    PruningSequence: serialize_sequence,
+    PermutationDiagram: serialize_diagram,
+}
+
+
 def cmd_gen(args):
     made = generators.generate(args.descriptor, args.seed)
-    text = _serialize_generated(made, args)
+    if args.artifact_out and made.artifact is None:
+        raise GraphError(f"--artifact-out: {args.descriptor} has no cotree, sequence or diagram")
+    text = serialize(made.graph, args.format)
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    _write_artifact(made, args)
+    if args.artifact_out:
+        with open(args.artifact_out, "w") as fh:
+            fh.write(_ARTIFACT_WRITERS[type(made.artifact)](made.artifact))
     return 0
 
 
-def _serialize_generated(made, args):
-    from .graph import serialize
-
-    return serialize(made.graph, args.format)
-
-
-def _write_artifact(made, args):
-    if not args.artifact_out or made.artifact is None:
-        return
-    from .cograph import Cotree, serialize_cotree
-    from .distance_hereditary import PruningSequence, serialize_sequence
-    from .permutation import PermutationDiagram, serialize_diagram
-
-    artifact = made.artifact
-    if isinstance(artifact, Cotree):
-        text = serialize_cotree(artifact)
-    elif isinstance(artifact, PruningSequence):
-        text = serialize_sequence(artifact)
-    elif isinstance(artifact, PermutationDiagram):
-        text = serialize_diagram(artifact)
-    else:
-        raise GraphError(f"cannot serialize artifact {type(artifact).__name__}")
-    with open(args.artifact_out, "w") as fh:
-        fh.write(text)
-
-
-def _verify_one(kind, size, seed):
-    """One cross-validation instance; returns (report dict, ok)."""
-    from .permutation import gamma_i_permutation as perm_value
-
+def _suite_instance(kind, size, seed):
+    """One instance of a verify suite with its solver's answer:
+    (graph, value, certificate). The chordal suite checks gamma = gamma_i, so
+    its certificate is None."""
     if kind == "cograph":
-        made = generators.random_cograph(size, seed)
-        value, cert = gamma_i_cograph(made.graph)
-        expected, _ = gamma_i_oracle(made.graph)
-        ok = value == expected and verify_certificate(made.graph, cert)
-        g = made.graph
-    elif kind == "dh":
-        made = generators.random_dh(size, seed)
-        value, cert = gamma_i_dh(made.graph)
-        expected, _ = gamma_i_oracle(made.graph)
-        ok = value == expected and verify_certificate(made.graph, cert)
-        g = made.graph
-    elif kind == "permutation":
+        g = generators.random_cograph(size, seed).graph
+        return g, *gamma_i_cograph(g)
+    if kind == "dh":
+        g = generators.random_dh(size, seed).graph
+        return g, *gamma_i_dh(g)
+    if kind == "permutation":
         made = generators.random_permutation(size, seed)
-        value, cert = perm_value(made.artifact)
-        expected, _ = gamma_i_oracle(made.graph)
-        ok = value == expected and verify_certificate(made.graph, cert)
-        g = made.graph
-    elif kind == "treewidth":
-        g = generators.gnp(size, 0.3, seed)
-        value, cert = gamma_i_treewidth(g)
-        expected, _ = gamma_i_oracle(g)
-        ok = value == expected and verify_certificate(g, cert)
-    elif kind == "chordal":
+        return made.graph, *gamma_i_permutation(made.artifact)
+    if kind == "chordal":
         g = generators.random_chordal(size, seed)
-        expected, _ = gamma_i_oracle(g)
-        value, _w = gamma(g)
-        ok = value == expected
-    elif kind == "exact":
-        g = generators.gnp(size, 0.3, seed)
-        value, cert, _stats = gamma_i_exact(g)
-        expected, _ = gamma_i_oracle(g)
-        ok = value == expected and verify_certificate(g, cert)
-    else:
-        raise GraphError(f"unknown suite {kind!r}")
-    report = {"suite": kind, "seed": seed, "n": g.n, "value": value, "ok": ok}
-    if not ok:
-        from .graph import serialize
-
-        report["instance"] = serialize(g)
-    return report, ok
+        return g, gamma(g)[0], None
+    g = generators.gnp(size, 0.3, seed)
+    if kind == "treewidth":
+        return g, *gamma_i_treewidth(g)
+    value, cert, _stats = gamma_i_exact(g)
+    return g, value, cert
 
 
 def cmd_verify(args):
     failures = 0
-    for i in range(args.count):
-        seed = args.seed + i
+    for seed in range(args.seed, args.seed + args.count):
         size = 4 + (seed % (args.size - 3)) if args.size > 4 else args.size
-        report, ok = _verify_one(args.suite, size, seed)
-        _emit(report)
+        g, value, cert = _suite_instance(args.suite, size, seed)
+        ok = value == gamma_i_oracle(g)[0] and (cert is None or verify_certificate(g, cert))
+        report = {"suite": args.suite, "seed": seed, "n": g.n, "value": value, "ok": ok}
         if not ok:
+            report["instance"] = serialize(g)
             failures += 1
+        _emit(report)
     _emit({"suite": args.suite, "count": args.count, "failures": failures})
     return 1 if failures else 0
 
@@ -397,7 +364,7 @@ def cmd_product_check(args):
         for name_h, h in PRODUCT_CORPUS:
             prod = cartesian_product(g, h)
             gamma_prod, _ = gamma(prod)
-            gamma_i_prod, _ = gamma_i_oracle(prod)
+            gamma_i_prod, cert = gamma_i_oracle(prod)
             gi_g, _ = gamma_i_oracle(g)
             gi_h, _ = gamma_i_oracle(h)
             ga_g, _ = gamma(g)
@@ -416,9 +383,6 @@ def cmd_product_check(args):
             }
             if not ok:
                 # dump the instance with witnesses in pair coordinates
-                from .graph import product_pair
-
-                _, cert = gamma_i_oracle(prod)
                 report["checks"] = checks
                 report["witness_pairs"] = {
                     "independent_set": [
@@ -455,6 +419,13 @@ def build_parser():
         p.add_argument("--format", default="edge-list", choices=["edge-list", "dimacs"])
         p.add_argument("--certify", action="store_true", help="replay the certificate")
 
+    def add_width_ceiling(p):
+        p.add_argument("--width-ceiling", type=_non_negative)
+
+    def add_exact_flags(p):
+        p.add_argument("--beta", type=_unit_interval, default=DEFAULT_BETA)
+        p.add_argument("--exact-ceiling", type=_non_negative)
+
     p = sub.add_parser("gamma-i", help="class-aware dispatch")
     add_common(p)
     p.add_argument("--algo", default="auto",
@@ -462,9 +433,8 @@ def build_parser():
     p.add_argument("--diagram", help="permutation diagram file")
     p.add_argument("--cotree", help="cotree file")
     p.add_argument("--td", help="tree decomposition file")
-    p.add_argument("--width-ceiling", type=_non_negative)
-    p.add_argument("--beta", type=_unit_interval, default=DEFAULT_BETA)
-    p.add_argument("--exact-ceiling", type=_non_negative)
+    add_width_ceiling(p)
+    add_exact_flags(p)
     p.set_defaults(func=cmd_gamma_i)
 
     p = sub.add_parser("oracle", help="brute-force reference values")
@@ -475,15 +445,14 @@ def build_parser():
 
     p = sub.add_parser("exact", help="exponential-time exact solver")
     add_common(p)
-    p.add_argument("--beta", type=_unit_interval, default=DEFAULT_BETA)
-    p.add_argument("--exact-ceiling", type=_non_negative)
+    add_exact_flags(p)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("ptas", help="shifting scheme for planar inputs")
     add_common(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--root", type=int, default=None)
-    p.add_argument("--width-ceiling", type=_non_negative)
+    add_width_ceiling(p)
     p.set_defaults(func=cmd_ptas)
 
     p = sub.add_parser("gen", help="generate a graph (and side artifact)")

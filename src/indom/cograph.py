@@ -303,6 +303,8 @@ def parse_cotree(text: str) -> Cotree:
                 "a LEAF line ends with its vertex, a UNION or JOIN line with its label", lineno
             )
         node_id = parse_ints(parts[1:2], lineno)[0]
+        if node_id in nodes:
+            raise FormatError(f"duplicate node id {node_id}", lineno)
         parent_id = None if parts[2] == "-" else parse_ints(parts[2:3], lineno)[0]
         vertex = parse_ints(parts[4:5], lineno)[0] if label == LEAF else None
         if label == LEAF:

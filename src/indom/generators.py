@@ -49,17 +49,20 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
 
 
 def path(n: int) -> Graph:
+    _check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
+    _check_vertex_count(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
+    _check_vertex_count(n)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
@@ -87,6 +90,7 @@ def complete_multipartite(sizes: list[int]) -> Graph:
             raise GraphError("part sizes must be positive")
         offsets.append(total)
         total += s
+    _check_vertex_count(total)
     edges = []
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):
@@ -100,6 +104,7 @@ def random_cotree(n: int, seed: int = 0) -> Cotree:
     """Canonical random cotree: recursive random splits with alternating labels."""
     if n < 1:
         raise GraphError("need at least one vertex")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     ids = iter(range(n))
 
@@ -125,6 +130,7 @@ def random_chordal(n: int, seed: int = 0, clique_bias: float = 0.5) -> Graph:
     """Random chordal graph: each new vertex is attached to a random clique
     grown inside an existing vertex's neighborhood, so the reverse insertion
     order is a perfect elimination ordering."""
+    _check_vertex_count(n)
     rng = random.Random(seed)
     adj = [set() for _ in range(n)]
     for v in range(1, n):
@@ -146,6 +152,7 @@ def random_dh_sequence(n: int, seed: int = 0) -> PruningSequence:
     as a pendant, true twin, or false twin; eliminations run in reverse."""
     if n < 1:
         raise GraphError("need at least one vertex")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     ops = []
     for v in range(n - 1, 0, -1):

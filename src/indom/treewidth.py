@@ -100,17 +100,25 @@ def validate_decomposition(g: Graph, td: TreeDecomposition):
     if union != g.full_mask:
         missing = next(bits(g.full_mask & ~union))
         return Violation("vertex-cover", f"vertex {missing} is in no bag")
-    for u, v in g.edges():
-        need = (1 << u) | (1 << v)
-        if not any(b & need == need for b in td.bags):
+    # cover[v]: the vertices sharing a bag with v; holders[v]: bags holding v
+    cover = [0] * g.n
+    holders = [0] * g.n
+    for b in td.bags:
+        for v in bits(b):
+            cover[v] |= b
+            holders[v] += 1
+    for u, r in enumerate(g.row):
+        uncovered = r >> u + 1 << u + 1 & ~cover[u]
+        if uncovered:
+            v = (uncovered & -uncovered).bit_length() - 1
             return Violation("edge-cover", f"edge ({u}, {v}) has no common bag")
     if len(td.edges) != max(len(td.bags) - 1, 0):
         return Violation("tree", "bag graph is not a tree")
     for a, b in td.edges:
         if not (0 <= a < len(td.bags) and 0 <= b < len(td.bags)):
             return Violation("tree", f"bag edge ({a}, {b}) out of range")
-    adj = td.neighbors()
     if td.bags:
+        adj = td.neighbors()
         seen = {0}
         frontier = [0]
         while frontier:
@@ -123,19 +131,13 @@ def validate_decomposition(g: Graph, td: TreeDecomposition):
             frontier = nxt
         if len(seen) != len(td.bags):
             return Violation("tree", "bag graph is disconnected")
-    for v in range(g.n):
-        holders = [i for i, b in enumerate(td.bags) if b >> v & 1]
-        seen = {holders[0]}
-        frontier = [holders[0]]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in adj[i]:
-                    if j not in seen and td.bags[j] >> v & 1:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        if len(seen) != len(holders):
+    # in a tree the bags holding v induce a forest with (holders - shared
+    # edges) components, so they are connected iff that count is 1
+    for a, b in td.edges:
+        for v in bits(td.bags[a] & td.bags[b]):
+            holders[v] -= 1
+    for v, components in enumerate(holders):
+        if components != 1:
             return Violation("connectivity", f"occurrences of vertex {v} are disconnected")
     return None
 
@@ -672,6 +674,7 @@ def parse_decomposition(text: str) -> TreeDecomposition:
             if len(body) != 3:
                 raise FormatError("expected 's [td] <#bags> <width+1> <n>'", lineno)
             header = tuple(_ids(body, 0, lineno))
+            header_line = lineno
             if header[2] > MAX_VERTICES:
                 raise FormatError(f"n={header[2]} exceeds {MAX_VERTICES} vertices", lineno)
         elif parts[0] == "b":
@@ -689,7 +692,13 @@ def parse_decomposition(text: str) -> TreeDecomposition:
             edges.append(tuple(_ids(parts, first, lineno)))
     if header is None:
         raise FormatError("missing 's' header")
-    count, _, n = header
+    count, size, n = header
     if len(bags) != count or sorted(bags) != list(range(count)):
         raise FormatError(f"expected bags 0..{count - 1}")
+    largest = max((b.bit_count() for b in bags.values()), default=0)
+    if size != largest:
+        raise FormatError(
+            f"header gives <width+1> = {size}, but the largest bag holds {largest} vertices",
+            header_line,
+        )
     return TreeDecomposition(n, [bags[i] for i in range(count)], edges)

@@ -9,8 +9,8 @@ import pytest
 import indom
 from indom import cli, cograph
 from indom.cli import main
-from indom.generators import cycle, gnp, grid, path
-from indom.graph import serialize
+from indom.generators import cycle, gnp, grid, path, random_cograph
+from indom.graph import parse, serialize
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -279,6 +279,19 @@ class TestOracle:
         assert reports[0]["value"] == 2
         assert reports[0]["verified"] is True
 
+    def test_gamma_without_certify_has_no_verified_key(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(6))
+        code, reports = run(capsys, ["oracle", "gamma", target])
+        assert code == 0
+        assert reports == [{"input": target, "value": 2, "witness": [0, 3]}]
+
+    def test_gamma_set_without_set_is_empty(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(6))
+        code, reports = run(capsys, ["oracle", "gamma-set", target, "--certify"])
+        assert code == 0
+        assert reports == [{"input": target, "set": [], "value": 0, "witness": [],
+                            "verified": True}]
+
     def test_gamma_set(self, tmp_path, capsys):
         target = write_graph(tmp_path, path(4))
         code, reports = run(capsys, ["oracle", "gamma-set", target, "--set", "0,3",
@@ -331,6 +344,24 @@ class TestVerifyCommand:
         assert code == 0
         assert reports[-1]["failures"] == 0
 
+    def test_wrong_value_is_reported_with_its_instance(self, capsys, monkeypatch):
+        solve = cli.gamma_i_cograph
+
+        def off_by_one(g, *rest):
+            value, cert = solve(g, *rest)
+            return value + 1, cert
+
+        monkeypatch.setattr(cli, "gamma_i_cograph", off_by_one)
+        code, reports = run(capsys, ["verify", "--suite", "cograph", "--count", "3",
+                                     "--size", "8", "--seed", "5"])
+        assert code == 1
+        assert reports[-1] == {"suite": "cograph", "count": 3, "failures": 3}
+        for report in reports[:-1]:
+            assert report["ok"] is False
+            made = random_cograph(report["n"], report["seed"])
+            assert report["value"] == solve(made.graph)[0] + 1
+            assert parse(report["instance"]) == made.graph
+
 
 class TestGen:
     def test_round_trip(self, tmp_path, capsys):
@@ -354,13 +385,27 @@ class TestGen:
         assert code == 2
         assert len(reports) == 1 and "error" in reports[0]
 
-    @pytest.mark.parametrize("descriptor", ["gnp(4000001,0)", "grid(2001,2000)", "grid(-3,2)",
-                                            "random_permutation(-1)"])
+    @pytest.mark.parametrize("descriptor", [
+        "gnp(4000001,0)", "grid(2001,2000)", "grid(-3,2)", "random_permutation(-1)",
+        "complete_multipartite(2000001,2000000)", "random_cograph(4000001)",
+        "random_dh(4000001)", "random_chordal(4000001)", "path(4000001)",
+    ])
     def test_oversized_generator_refused_before_building(self, descriptor):
-        # a separate process, so that building the edges first fails by timeout
+        # a separate process with 1 GB of address space, so that building the
+        # edges first fails fast, by timeout or MemoryError
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
         env = dict(os.environ, PYTHONPATH=str(Path(indom.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-m", "indom.cli", "gen", descriptor],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=limit_memory)
         assert done.returncode == 2
         lines = done.stdout.splitlines()
         assert len(lines) == 1 and "error" in json.loads(lines[0])
@@ -376,6 +421,13 @@ class TestGen:
         seq = parse_sequence((tmp_path / "seq.txt").read_text())
         g = parse((tmp_path / "g.txt").read_text())
         assert replay_sequence(seq) == g
+
+    def test_artifact_out_without_artifact_is_an_error(self, tmp_path, capsys):
+        code, reports = run(capsys, ["gen", "gnp(5,0.5)", "-o", str(tmp_path / "g.txt"),
+                                     "--artifact-out", str(tmp_path / "a.txt")])
+        assert code == 2
+        assert len(reports) == 1 and "gnp" in reports[0]["error"]
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_wide_instance_ends_as_one_json_line(tmp_path):

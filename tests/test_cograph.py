@@ -163,6 +163,17 @@ class TestCotreeFormat:
             parse_cotree(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text", [
+        "node 0 - UNION\nnode 1 0 LEAF 0\nnode 2 0 LEAF 1\nnode 2 0 LEAF 2\n",
+        # children of id 3 would attach to the second JOIN, not the first
+        "node 0 - UNION\nnode 3 0 JOIN\nnode 1 3 LEAF 0\nnode 3 0 JOIN\n"
+        "node 2 3 LEAF 1\nnode 4 3 LEAF 2\nnode 5 3 LEAF 3\n",
+    ], ids=["leaf", "join"])
+    def test_duplicate_node_id_reports_its_line(self, text):
+        with pytest.raises(FormatError, match="duplicate node id") as err:
+            parse_cotree(text)
+        assert err.value.line == 4
+
     @pytest.mark.parametrize("line", [
         "node 2 0 UNION junk 7", "node 2 0 JOIN 3", "node 2 0 LEAF 1 2",
     ], ids=["union", "join", "leaf"])

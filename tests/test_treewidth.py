@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from indom.treewidth import (
     DPStats,
     NiceDecomposition,
     TreeDecomposition,
+    Violation,
     gamma_i_treewidth,
     heuristic_decomposition,
     make_nice,
@@ -49,11 +51,101 @@ class TestValidate:
         assert bad is not None and bad.kind == "connectivity"
         assert "vertex 1" in bad.detail
 
+    def test_same_verdict_as_scans_on_mutated_decompositions(self):
+        rng = random.Random(12)
+        verdicts = set()
+        for case in range(400):
+            g = gnp(2 + case % 14, 0.1 + (case % 5) * 0.1, case)
+            td = heuristic_decomposition(g)
+            if case % 4:
+                td = _mutated(td, rng)
+            found = validate_decomposition(g, td)
+            assert found == _validate_by_scans(g, td), case
+            verdicts.add(found.kind if found else None)
+        assert verdicts == {None, "vertex-range", "vertex-cover", "edge-cover", "tree",
+                            "connectivity"}
+
     def test_vertex_beyond_graph(self):
         td = TreeDecomposition(4, [0b0011, 0b0110, 0b11100], [(0, 1), (1, 2)])
         bad = validate_decomposition(path(4), td)
         assert bad is not None and bad.kind == "vertex-range"
         assert "vertex 4" in bad.detail
+
+
+def _validate_by_scans(g, td):
+    """validate_decomposition as it was first written: every bag scanned for
+    every edge, one walk over the bag tree for every vertex."""
+    union = 0
+    for b in td.bags:
+        union |= b
+    if union >> g.n:
+        return Violation("vertex-range", f"vertex {union.bit_length() - 1} is not in 0..{g.n - 1}")
+    if union != g.full_mask:
+        missing = next(bits(g.full_mask & ~union))
+        return Violation("vertex-cover", f"vertex {missing} is in no bag")
+    for u, v in g.edges():
+        need = (1 << u) | (1 << v)
+        if not any(b & need == need for b in td.bags):
+            return Violation("edge-cover", f"edge ({u}, {v}) has no common bag")
+    if len(td.edges) != max(len(td.bags) - 1, 0):
+        return Violation("tree", "bag graph is not a tree")
+    for a, b in td.edges:
+        if not (0 <= a < len(td.bags) and 0 <= b < len(td.bags)):
+            return Violation("tree", f"bag edge ({a}, {b}) out of range")
+    adj = td.neighbors()
+    if td.bags:
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in adj[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        if len(seen) != len(td.bags):
+            return Violation("tree", "bag graph is disconnected")
+    for v in range(g.n):
+        holders = [i for i, b in enumerate(td.bags) if b >> v & 1]
+        seen = {holders[0]}
+        frontier = [holders[0]]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in adj[i]:
+                    if j not in seen and td.bags[j] >> v & 1:
+                        seen.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        if len(seen) != len(holders):
+            return Violation("connectivity", f"occurrences of vertex {v} are disconnected")
+    return None
+
+
+def _mutated(td, rng):
+    """A copy of td with one to three random edits of its bags or tree edges."""
+    bags, edges = list(td.bags), list(td.edges)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(6)
+        if kind == 0 and bags:  # drop a vertex from a bag
+            i = rng.randrange(len(bags))
+            if bags[i]:
+                bags[i] &= ~(1 << rng.choice(list(bits(bags[i]))))
+        elif kind == 1 and bags:  # add a vertex, perhaps one beyond the graph
+            bags[rng.randrange(len(bags))] |= 1 << rng.randrange(td.n + 2)
+        elif kind == 2 and edges:  # drop a tree edge
+            edges.pop(rng.randrange(len(edges)))
+        elif kind == 3 and bags:  # add an edge, perhaps a loop or out of range
+            edges.append((rng.randrange(len(bags)), rng.randrange(-1, len(bags) + 1)))
+        elif kind == 4 and edges:  # move one end of a tree edge
+            i = rng.randrange(len(edges))
+            edges[i] = (edges[i][0], rng.randrange(len(bags)))
+        elif kind == 5:  # add a bag
+            bags.append(rng.getrandbits(td.n) if td.n else 0)
+            if rng.random() < 0.7:
+                edges.append((len(bags) - 1, rng.randrange(len(bags))))
+    return TreeDecomposition(td.n, bags, edges)
 
 
 def _full_scan_decomposition(g, order):
@@ -508,6 +600,20 @@ class TestDecompositionFormat:
     def test_vertex_beyond_header(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_decomposition("s 2 2 3\nb 0 0 3\nb 1 1 2\n0 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "s 1 1 3\nb 0 0 1 2\n", "s 2 4 3\nb 0 0 1\nb 1 1 2\n0 1\n",
+        "s td 1 2 3\nb 1 1\n", "s 0 1 0\n",
+    ], ids=["below", "above", "one-based", "no-bags"])
+    def test_header_must_give_largest_bag_size(self, text):
+        with pytest.raises(FormatError, match="largest bag") as err:
+            parse_decomposition(text)
+        assert err.value.line == 1
+
+    def test_header_of_no_bags_gives_zero(self):
+        td = parse_decomposition("s 0 0 0\n")
+        assert td.bags == [] and td.width == -1
+        assert validate_decomposition(Graph(0), td) is None
 
     def test_vertex_count_beyond_graph_limit(self):
         # a bag vertex id becomes a bit of a mask, so it must stay small
