@@ -107,24 +107,28 @@ _CEILINGS = (
 )
 
 
-def _read_input(path):
-    """Text of the file, or of stdin for '-'; bytes that are not UTF-8 are a
-    FormatError naming their line."""
+def _parse_file(path, parser):
+    """parser(text) of the file, or of stdin for '-'. A FormatError, for
+    bytes that are not UTF-8 or from the parser, names the file."""
+    name = "stdin" if path == "-" else path
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
     try:
-        return data.decode()
+        text = data.decode()
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        name = "stdin" if path == "-" else path
         raise FormatError(f"{name}: byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
+    try:
+        return parser(text)
+    except FormatError as exc:
+        raise FormatError(f"{name}: {exc.message}", exc.line) from None
 
 
 def _load_graph(args):
-    return parse(_read_input(args.input), args.format)
+    return _parse_file(args.input, functools.partial(parse, fmt=args.format))
 
 
 def _emit(obj):
@@ -156,15 +160,15 @@ def _side_files(g, args):
     runs: (cotree, diagram, tree decomposition), None where not given."""
     cotree = diagram = td = None
     if args.cotree is not None:
-        cotree = parse_cotree(_read_input(args.cotree))
+        cotree = _parse_file(args.cotree, parse_cotree)
         if cotree_to_graph(cotree) != g:
             raise GraphError("cotree does not match the input graph")
     if args.diagram is not None:
-        diagram = parse_diagram(_read_input(args.diagram))
+        diagram = _parse_file(args.diagram, parse_diagram)
         if diagram_to_graph(diagram) != g:
             raise GraphError("diagram does not match the input graph")
     if args.td is not None:
-        td = parse_decomposition(_read_input(args.td))
+        td = _parse_file(args.td, parse_decomposition)
         bad = validate_decomposition(g, td)
         if bad is not None:
             raise GraphError(f"invalid tree decomposition ({bad})")

@@ -9,7 +9,8 @@ Helpers below convert between masks and vertex lists.
 from __future__ import annotations
 
 import itertools
-import operator
+import json
+import re
 from typing import Iterable, Iterator
 
 # Vertex ids are capped so product constructions cannot silently explode.
@@ -25,6 +26,7 @@ class FormatError(GraphError):
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
+        self.message = message
         self.line = line
 
 
@@ -64,13 +66,11 @@ class Graph:
         if n < 0 or n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
         rows = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop ({u}, {v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        bad = _add_edges(rows, edges)
+        if bad is not None:
+            u, v = bad
+            raise GraphError(f"self-loop ({u}, {v})" if u == v
+                             else f"edge ({u}, {v}) out of range for n={n}")
         self._set_rows(rows)
 
     @classmethod
@@ -110,6 +110,19 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _add_edges(rows: list[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+    """OR each edge (u, v) into rows[u] and rows[v]. The first self-loop or
+    edge out of range for len(rows) vertices stops the loop and is returned,
+    before any shift by it; None when every edge fits."""
+    n = len(rows)
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return u, v
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return None
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -229,14 +242,28 @@ def edge_clique_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
 # DIMACS-like: "p [name] <n> <m>" header, then m lines "e u v" (0-based).
 # Every text parser of the package reads its lines through read_lines and
 # its integers through parse_ints: '#' starts a comment anywhere in every
-# format, DIMACS and PACE files also skip 'c' lines.
+# format, DIMACS and PACE files also skip 'c' lines. parse reads slices of
+# plain edge lines by one regex match and one json decode instead, and every
+# other slice as the rule says.
 
 EDGE_LIST = "edge-list"
 DIMACS = "dimacs"
 
-# edge lines are checked this many at a time; a bounded slice keeps the
-# token lists of a large file from being held all at once
-EDGE_SLICE = 4096
+# edge lines are read in slices of about this many characters, each cut at a
+# line break, so only one slice's lines and ints are held at a time
+EDGE_SLICE = 1 << 16
+
+# str.splitlines breaks lines at "\r\n" and at each of these besides "\n";
+# parse turns every break into "\n", so a slice can be cut and its lines
+# counted at "\n" alone and line numbers stay those of splitlines
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TO_NEWLINE = dict.fromkeys(map(ord, _OTHER_BREAKS), "\n")
+
+# a slice of plain edge lines: "u v" ("e u v" in DIMACS) in ASCII digits
+# with single spaces, no comment, blank line, sign or other whitespace
+_PLAIN_EDGE_LIST = re.compile(r"(?:[0-9]+ [0-9]+\n)*[0-9]+ [0-9]+")
+_PLAIN_DIMACS = re.compile(r"(?:e [0-9]+ [0-9]+\n)*e [0-9]+ [0-9]+")
+_TO_COMMAS = str.maketrans(" \n", ",,")
 
 
 def read_lines(text: str, c_comments: bool = False) -> Iterator[tuple[int, list[str]]]:
@@ -264,33 +291,57 @@ def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
     """Graph from edge-list or DIMACS text, which differ only in the header
     and edge syntax.
 
-    Edge lines are read in slices of EDGE_SLICE lines. A slice of plain edge
-    lines is cut, converted and checked by builtins over the whole slice;
-    any other slice (a comment, a blank line or an error in it) is read line
-    by line, so an error names its line. Only the row ORs are a Python loop.
+    The header is found line by line. The rest of the text is read in slices
+    of about EDGE_SLICE characters cut at line breaks. A slice of plain edge
+    lines is checked by one regex match and decoded into ints by one json
+    call; any other slice (a comment, a blank line, other whitespace, a
+    number json or int() refuses, or a bad edge) is read line by line, so an
+    error names its line. Line numbers are those of str.splitlines.
     """
     if fmt not in (EDGE_LIST, DIMACS):
         raise FormatError(f"unknown format {fmt!r}")
     dimacs = fmt == DIMACS
-    lines = text.splitlines()
-    header, n, m = _header(lines, dimacs)
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        text = text.replace("\r\n", "\n").translate(_TO_NEWLINE)
+    header, start, n, m = _header(text, dimacs)
     rows = [0] * n
     count = 0
-    for start in range(header, len(lines), EDGE_SLICE):
-        chunk = lines[start:start + EDGE_SLICE]
-        us, vs = _plain_edges(chunk, n, dimacs) or _edge_lines(chunk, start + 1, n, dimacs)
-        for u, v in zip(us, vs):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        count += len(us)
+    lineno = header + 1
+    # a final line break ends the last line and starts none
+    end = len(text) - 1 if text.endswith("\n") else len(text)
+    while start < end:
+        cut = text.find("\n", start + EDGE_SLICE, end)
+        if cut < 0:
+            cut = end
+        chunk = text[start:cut]
+        edges = _plain_edges(chunk, dimacs)
+        if edges is None or _add_edges(rows, zip(*edges)) is not None:
+            # not plain, or a bad edge stopped _add_edges: read line by line,
+            # which raises at the first bad line
+            edges = _edge_lines(chunk.split("\n"), lineno, n, dimacs)
+            _add_edges(rows, zip(*edges))
+        count += len(edges[0])
+        lineno += chunk.count("\n") + 1
+        start = cut + 1
     if count != m:
         raise FormatError(f"header declared {m} edges, found {count}", header)
     return Graph._from_rows(rows)
 
 
-def _header(lines, dimacs):
-    """(line number, n, m) of the header, the first line with content."""
-    for lineno, tokens in _content(lines, 1, dimacs):
+def _header(text, dimacs):
+    """(line number, offset of the next line, n, m) of the header, the first
+    line with content (as _content finds it); lines end at "\n"."""
+    start = 0
+    lineno = 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        lineno += 1
+        tokens = text[start:end].partition("#")[0].split()
+        start = end + 1
+        if not tokens or dimacs and tokens[0][0] == "c":
+            continue
         if dimacs:
             directive, *tokens = tokens
             if directive == "e":
@@ -305,36 +356,28 @@ def _header(lines, dimacs):
         n, m = parse_ints(tokens, lineno)
         if not 0 <= n <= MAX_VERTICES:
             raise FormatError(f"vertex count {n} out of range 0..{MAX_VERTICES}", lineno)
-        return lineno, n, m
+        return lineno, start, n, m
     raise FormatError("missing 'p' header" if dimacs else "empty input: missing 'n m' header")
 
 
-def _plain_edges(chunk, n, dimacs):
-    """(us, vs) when every line of the slice is one valid edge, written with
-    single spaces between its tokens, else None.
+def _plain_edges(chunk, dimacs):
+    """(us, vs) of a slice of plain edge lines, else None.
 
-    Each line must hold exactly the spaces of its syntax, so joining the
-    slice with spaces and cutting it at spaces puts line i's tokens at a
-    known stride. Every other line fails a check here: a comment leaves a
-    token holding '#' or 'c' (DIMACS), which int() or the directive test
-    rejects, and a token with other whitespace inside is no int.
+    With its spaces and line breaks made commas, such a slice is one JSON
+    array of ints, which json decodes in C. json refuses a leading zero and
+    a number longer than int()'s digit limit; those slices, like the ones
+    the regex refuses, are read line by line. Edges are checked as they are
+    added to the rows.
     """
-    width = 3 if dimacs else 2
-    if set(map(str.count, chunk, itertools.repeat(" "))) != {width - 1}:
+    if not (_PLAIN_DIMACS if dimacs else _PLAIN_EDGE_LIST).fullmatch(chunk):
         return None
-    tokens = " ".join(chunk).split(" ")
-    if dimacs and set(tokens[0::3]) != {"e"}:
-        return None
+    if dimacs:
+        chunk = chunk[2:].replace("\ne ", "\n")
     try:
-        us = list(map(int, tokens[width - 2::width]))
-        vs = list(map(int, tokens[width - 1::width]))
+        ends = json.loads(f"[{chunk.translate(_TO_COMMAS)}]")
     except ValueError:
         return None
-    if min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n:
-        return None
-    if any(map(operator.eq, us, vs)):
-        return None
-    return us, vs
+    return ends[0::2], ends[1::2]
 
 
 def _edge_lines(chunk, first, n, dimacs):

@@ -478,6 +478,31 @@ def test_non_utf8_file_is_a_json_error(tmp_path, capsys, flag):
     assert reports == [{"error": f"line 2: {bad}: byte 0xff is not UTF-8 text"}]
 
 
+@pytest.mark.parametrize("flag,message", [
+    (None, "line 3: {}: expected integers, got '1 x'"),
+    ("--cotree", "line 1: {}: expected 'node <id> <parent> <LABEL> [vertex]'"),
+    ("--diagram", "line 1: {}: line holds 2 integers, expected 1"),
+    ("--td", "line 1: {}: expected bag-edge line '<id> <id>'"),
+])
+def test_format_error_names_its_file(tmp_path, capsys, flag, message):
+    # an edge list with a bad edge line, or a good one given as a side file
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 2\n0 1\n1 x\n" if flag is None else serialize(path(3)))
+    argv = ["gamma-i", str(bad)] if flag is None else \
+        ["gamma-i", write_graph(tmp_path, path(3)), flag, str(bad)]
+    code, reports = run(capsys, argv)
+    assert code == 2
+    assert reports == [{"error": message.format(bad)}]
+
+
+def test_format_error_without_a_line_names_its_file(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing\n")
+    code, reports = run(capsys, ["exact", str(empty)])
+    assert code == 2
+    assert reports == [{"error": f"{empty}: empty input: missing 'n m' header"}]
+
+
 def test_non_utf8_stdin_is_a_json_error():
     env = dict(os.environ, PYTHONPATH=str(Path(indom.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "indom.cli", "gamma-i", "-"],

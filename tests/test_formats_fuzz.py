@@ -3,11 +3,13 @@ exception that may escape is GraphError (FormatError is one), which the
 command line turns into a JSON error with exit code 2. Random bytes go
 through the command line itself. Random and mutated pruning sequences go
 through the decomposition builder, which must accept exactly the valid ones
-and build a correct tree from each."""
+and build a correct tree from each. Edge-list and DIMACS texts, long ones
+included, parse as a naive line-by-line reference parses them."""
 
 import contextlib
 import io
 import json
+import operator
 import re
 
 import pytest
@@ -25,7 +27,7 @@ from indom.distance_hereditary import (
     serialize_sequence,
 )
 from indom.generators import gnp, random_cotree, random_dh, random_dh_sequence, random_permutation
-from indom.graph import Graph, GraphError, parse, serialize
+from indom.graph import EDGE_SLICE, MAX_VERTICES, FormatError, Graph, GraphError, parse, serialize
 from indom.oracle import gamma_i_oracle, verify_certificate
 from indom.permutation import parse_diagram, serialize_diagram
 from indom.treewidth import heuristic_decomposition, parse_decomposition, serialize_decomposition
@@ -103,6 +105,119 @@ def test_any_bytes_end_as_json(tmp_path, data):
     assert len(lines) == 1
     report = json.loads(lines[0])
     assert (code, "error" in report) in ((0, False), (2, True))
+
+
+def _reference_parse(text, fmt):
+    """The edge formats read the naive way: str.splitlines, then int() on the
+    tokens of each line; the graph, or the error and line, parse must give."""
+    dimacs = fmt == "dimacs"
+    header = None
+    edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.partition("#")[0].split()
+        if not tokens or dimacs and tokens[0][0] == "c":
+            continue
+        if dimacs:
+            directive, *tokens = tokens
+            if directive == "p" and header is not None:
+                raise FormatError("duplicate 'p' header", lineno)
+            if directive == "e" and header is None:
+                raise FormatError("edge before 'p' header", lineno)
+            if directive not in ("p", "e"):
+                raise FormatError(f"unknown directive {directive!r}", lineno)
+            if header is None and len(tokens) == 3 and not tokens[0].lstrip("-").isdigit():
+                tokens = tokens[1:]
+        if len(tokens) != 2:
+            what = "header " + ("'p [name] n m'" if dimacs else "'n m'") if header is None \
+                else "edge " + ("'e u v'" if dimacs else "'u v'")
+            raise FormatError(f"expected {what}", lineno)
+        try:
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise FormatError(f"expected integers, got {' '.join(tokens)!r}", lineno) from None
+        if header is None:
+            if not 0 <= a <= MAX_VERTICES:
+                raise FormatError(f"vertex count {a} out of range 0..{MAX_VERTICES}", lineno)
+            header, n, m = lineno, a, b
+        elif a == b or not (0 <= a < n and 0 <= b < n):
+            raise FormatError(f"bad edge ({a}, {b}) for n={n}", lineno)
+        else:
+            edges.append((a, b))
+    if header is None:
+        raise FormatError("missing 'p' header" if dimacs else "empty input: missing 'n m' header")
+    if len(edges) != m:
+        raise FormatError(f"header declared {m} edges, found {len(edges)}", header)
+    return Graph(n, edges)
+
+
+# every line break of str.splitlines
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# ids of a 10-vertex graph written in ways json and int() read differently:
+# leading zeros, signs, underscores, non-ASCII digits, more digits than int()
+# converts
+ODD_IDS = st.sampled_from(["00", "07", "+3", "-0", "-1", "1_0", "10", "\u0663", "\uff13",
+                           "9" * 4301])
+GAPS = st.sampled_from([" ", " ", " ", "  ", "\t", " \x1f", "\xa0"])
+NOTES = ["", "  ", "\t", "# note", " # 1 2"]
+JUNK = st.sampled_from(["1", "1 2 3", "e 1", "x 1 2", "p 10 1", "c note", "1 x"])
+
+
+@st.composite
+def edge_texts(draw, fmt):
+    """A header and drawn edge, note and junk lines joined by drawn line
+    breaks. In some texts the drawn lines sit in a run of plain edge lines,
+    at its start or where it crosses from the first slice into the second."""
+    dimacs = fmt == "dimacs"
+    notes = st.sampled_from(NOTES + ["c note"] if dimacs else NOTES)
+    ids = st.one_of(st.integers(0, 9), ODD_IDS)
+    lines = []
+    m = 0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(JUNK))
+        elif kind < 4:
+            lines.append(draw(notes))
+        else:
+            prefix = draw(st.sampled_from(["e "] * 6 + ["e  ", ""])) if dimacs else ""
+            end = draw(st.sampled_from(["", "", "", " # x", " "]))
+            if draw(st.integers(0, 3)):
+                u = draw(st.integers(0, 9))
+                a, b = u, (u + draw(st.integers(1, 9))) % 10
+            else:
+                a, b = draw(ids), draw(ids)
+            lines.append(f"{prefix}{a}{draw(GAPS)}{b}{end}")
+            m += 1
+    if draw(st.integers(0, 3)) == 0:
+        # plain lines are 4 or 6 characters wide with their break
+        span = EDGE_SLICE // (6 if dimacs else 4)
+        run = [f"{'e ' if dimacs else ''}{i % 9} {i % 9 + 1}" for i in range(span + 8)]
+        at = draw(st.one_of(st.just(0), st.integers(span - 4, span + 4)))
+        lines = run[:at] + lines + run[at:]
+        m += len(run)
+    m += draw(st.sampled_from([0, 0, 0, 1, -1]))
+    header = draw(st.sampled_from([f"p 10 {m}", f"p name 10 {m}"] if dimacs else [f"10 {m}"]))
+    lines[:0] = draw(st.lists(notes, max_size=2)) + [header]
+    breaks = [draw(st.sampled_from(["\n", "\n", "\r\n", *BREAKS]))] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        breaks[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(BREAKS))
+    text = "".join(map(operator.add, lines, breaks))
+    return text if draw(st.booleans()) else text[:-len(breaks[-1])]
+
+
+def _outcome(parser, text, fmt):
+    try:
+        return parser(text, fmt)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parse_agrees_with_a_line_by_line_reference(fmt, data):
+    text = data.draw(edge_texts(fmt))
+    assert _outcome(parse, text, fmt) == _outcome(_reference_parse, text, fmt)
 
 
 @st.composite

@@ -318,9 +318,18 @@ def test_rows_agree_with_edge_lists():
             assert sub == Graph(len(ids), _induced_edges(g, s))
 
 
-# more edge lines than two slices, so the third slice is a partial one
+# edge lines with 3-digit ids all have one width, so each slice, which ends
+# with the line holding its (EDGE_SLICE + 1)-th character, holds the same
+# number of them; there are more than two slices of them
 _N = 300
-_MANY = list(itertools.combinations(range(_N), 2))[:2 * EDGE_SLICE + 500]
+_MANY = list(itertools.combinations(range(100, _N), 2))
+
+
+def _per_slice(fmt):
+    """Edge lines per slice: "uuu vvv" and "e uuu vvv" lines are 8 and 10
+    characters wide with their line break."""
+    width = 10 if fmt == "dimacs" else 8
+    return -(-(EDGE_SLICE + 1) // width)
 
 
 def _many_edge_lines(fmt, lead=()):
@@ -331,28 +340,31 @@ def _many_edge_lines(fmt, lead=()):
 
 
 class TestSlices:
-    # line number of the first, a middle and the last line of the second
-    # slice, and a line of the third, with the header on line 1
-    LINES = [EDGE_SLICE + 2, EDGE_SLICE + 50, 2 * EDGE_SLICE + 1, 2 * EDGE_SLICE + 300]
-
-    @pytest.mark.parametrize("lineno", LINES)
+    # line number slices * _per_slice + offset: the first, a middle and the
+    # last line of the second slice, and a line of the third, with the header
+    # on line 1
+    @pytest.mark.parametrize("slices,offset", [(1, 2), (1, 50), (2, 1), (2, 300)])
     @pytest.mark.parametrize("fmt,bad,message", [
         ("edge-list", "0 x", "expected integers, got '0 x'"),
-        ("edge-list", "5 5", "bad edge (5, 5) for n=300"),
-        ("edge-list", "0 300", "bad edge (0, 300) for n=300"),
+        ("edge-list", "105 105", "bad edge (105, 105) for n=300"),
+        ("edge-list", "100 300", "bad edge (100, 300) for n=300"),
         ("edge-list", "-1 2", "bad edge (-1, 2) for n=300"),
         ("edge-list", "0 1 2", "expected edge 'u v'"),
         ("edge-list", "7", "expected edge 'u v'"),
         ("dimacs", "e 0 x", "expected integers, got '0 x'"),
-        ("dimacs", "e 5 5", "bad edge (5, 5) for n=300"),
-        ("dimacs", "e 300 0", "bad edge (300, 0) for n=300"),
+        ("dimacs", "e 105 105", "bad edge (105, 105) for n=300"),
+        ("dimacs", "e 300 100", "bad edge (300, 100) for n=300"),
         ("dimacs", "e 0 1 2", "expected edge 'e u v'"),
         ("dimacs", "x 0 1", "unknown directive 'x'"),
         ("dimacs", "p 300 5", "duplicate 'p' header"),
     ])
-    def test_error_past_the_first_slice_names_its_line(self, fmt, bad, message, lineno):
+    def test_error_past_the_first_slice_names_its_line(self, fmt, bad, message, slices, offset):
+        lineno = slices * _per_slice(fmt) + offset
         lines = _many_edge_lines(fmt)
-        lines[lineno - 1] = bad
+        # padded to the width of the line it replaces, so no boundary moves;
+        # the bad edges of plain syntax need no padding, so their slice is
+        # read as plain lines until the bad edge is met
+        lines[lineno - 1] = bad.ljust(len(lines[lineno - 1]))
         with pytest.raises(FormatError) as err:
             parse("\n".join(lines), fmt)
         assert str(err.value) == f"line {lineno}: {message}"
@@ -362,18 +374,20 @@ class TestSlices:
     def test_lines_around_slice_boundaries_parse(self, fmt):
         expected = Graph(_N, _MANY)
         skipped = ["", "   ", "# note", "\t# x"] + (["c note"] if fmt == "dimacs" else [])
+        k = _per_slice(fmt)
         # comments before the header move every slice boundary
         lines = _many_edge_lines(fmt, lead=skipped)
         # other whitespace and a trailing comment on edge lines near a boundary
-        for at in (EDGE_SLICE - 2, EDGE_SLICE + 4, 2 * EDGE_SLICE + 4):
+        for at in (k - 2, k + 4, 2 * k + 4):
             lines[at] = " " + lines[at].replace(" ", "\t ") + "  # edge"
-        for at in (2 * EDGE_SLICE + 3, EDGE_SLICE + 1, EDGE_SLICE, EDGE_SLICE - 1):
+        for at in (2 * k + 3, k + 1, k, k - 1):
             lines[at:at] = skipped
         for newline in ("\n", "\r\n"):
             assert parse(newline.join(lines) + newline, fmt) == expected
 
     @pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
     def test_round_trip_over_several_slices(self, fmt):
-        g = gnp(160, 0.7, 3)
-        assert g.m > 2 * EDGE_SLICE
-        assert parse(serialize(g, fmt), fmt) == g
+        g = gnp(250, 0.7, 3)
+        text = serialize(g, fmt)
+        assert len(text) > 2 * EDGE_SLICE
+        assert parse(text, fmt) == g
