@@ -228,6 +228,12 @@ def _dispatch_gamma_i(g, args, cotree, diagram, td):
 
 
 def cmd_gamma_i(args):
+    from_stdin = [name for name, path in (("input", args.input), ("--cotree", args.cotree),
+                                          ("--diagram", args.diagram), ("--td", args.td))
+                  if path == "-"]
+    if len(from_stdin) > 1:
+        # stdin can be read once; a second read would parse an empty file
+        raise GraphError(f"'-' (stdin) can feed one file only, not {' and '.join(from_stdin)}")
     g = _load_graph(args)
     side_files = _side_files(g, args)
     try:

@@ -12,9 +12,10 @@ The reported value re-evaluates piece witness sets against the whole graph
 and keeps the best, which makes it a true lower bound on the graph's
 independence-domination number (a piece alone may overshoot: deleting a
 layer can remove dominators and leave a strictly harder subgraph). Within
-one shift, each re-evaluation gets the best value so far as its cutoff, so
-a combination that cannot beat it is settled without an exact solve; the
-best value of every shift is still exact.
+one shift, a combination that cannot beat the best value so far is settled
+without an exact solve: first by one mask test against the closed
+neighbourhoods of the dominating sets already found, otherwise by a solve
+with that value as its cutoff. The best value of every shift is still exact.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class PtasResult:
     shifts: list = field(default_factory=list)  # (component root, best shift)
     piece_values: dict = field(default_factory=dict)  # (root, shift) -> piece DP value
     certified_values: dict = field(default_factory=dict)  # (root, shift) -> re-evaluated value
+    combinations_solved: int = 0  # combinations re-dominated in g
+    combinations_settled: int = 0  # combinations settled by the cover test
 
 
 # caps for the witness search: per piece, how many optimal independent sets
@@ -165,7 +168,9 @@ def ptas_gamma_i(
                         mask |= 1 << ids[piece_ids[part_ids[v]]]
                     lifted.append(mask)
                 options.append(lifted)
-            certified, a_mask, witness = _best_combination(g, options)
+            certified, a_mask, witness, solved, settled = _best_combination(g, options)
+            result.combinations_solved += solved
+            result.combinations_settled += settled
             result.piece_values[(comp_root, ell)] = piece_value
             result.certified_values[(comp_root, ell)] = certified
             if best is None or certified > best[0]:
@@ -181,9 +186,19 @@ def ptas_gamma_i(
 
 
 def _best_combination(g, options):
-    """Most expensive union of per-piece optimal sets, re-dominated in g."""
+    """Most expensive union of per-piece optimal sets, re-dominated in g.
+
+    Returns (value, union, witness, solved, settled): the best union with its
+    exact value and a minimum dominating set, and how many combinations were
+    re-dominated or settled without a solve. Every witness D a solve returns
+    has |D| <= the running best, so a union A inside its closed neighbourhood
+    N[D] has gamma(A) <= |D| and cannot raise the best: one mask test against
+    each N[D] found so far settles A. A union that fails every test gets the
+    running best as its solve's cutoff, which settles it just as well when it
+    cannot win.
+    """
     if not options:
-        return 0, 0, 0
+        return 0, 0, 0, 0, 0
     combos = 1
     for choice in options:
         combos *= len(choice)
@@ -199,13 +214,21 @@ def _best_combination(g, options):
                 trimmed.append(choice[:1])
         options = trimmed
     best = None
+    uncovered = []  # ~N[D] for every witness D returned so far
+    settled = 0
     for combo in itertools.product(*options):
         a_mask = 0
         for m in combo:
             a_mask |= m
-        # a combination that cannot beat the best one needs no exact solve
+        if any(a_mask & u == 0 for u in uncovered):
+            settled += 1
+            continue
         cutoff = -1 if best is None else best[0]
         value, witness, _ = gamma_of_independent_set_fast(g, a_mask, cutoff=cutoff)
+        cover = 0
+        for v in bits(witness):
+            cover |= g.closed[v]
+        uncovered.append(~cover)
         if best is None or value > best[0]:
             best = (value, a_mask, witness)
-    return best
+    return (*best, len(uncovered), settled)

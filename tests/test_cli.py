@@ -503,6 +503,14 @@ def test_format_error_without_a_line_names_its_file(tmp_path, capsys):
     assert reports == [{"error": f"{empty}: empty input: missing 'n m' header"}]
 
 
+@pytest.mark.parametrize("flag", ["--cotree", "--diagram", "--td"])
+def test_stdin_feeds_one_file_only(capsys, flag):
+    # refused before anything is read: in-process, a read of stdin would fail
+    code, reports = run(capsys, ["gamma-i", "-", flag, "-"])
+    assert code == 2
+    assert reports == [{"error": f"'-' (stdin) can feed one file only, not input and {flag}"}]
+
+
 def test_non_utf8_stdin_is_a_json_error():
     env = dict(os.environ, PYTHONPATH=str(Path(indom.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "indom.cli", "gamma-i", "-"],

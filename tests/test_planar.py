@@ -1,7 +1,11 @@
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from indom import Graph, GraphError, bits, verify_certificate
 from indom.planar import Layering, bfs_layering, ptas_gamma_i, shifted_subgraph
+from indom.exactexp import gamma_of_independent_set_fast
 from indom.oracle import gamma_i_oracle
 from indom.generators import cycle, grid, path, star
 from tests.conftest import random_outerplanar
@@ -66,11 +70,55 @@ class TestShiftedSubgraph:
                 assert max(levels) - min(levels) <= 1  # at most 2 consecutive bands
 
 
+def _cutoff_corpus():
+    out = [path(n) for n in (6, 10, 14, 20, 25)]
+    out += [cycle(n) for n in (5, 9, 13, 20)]
+    out += [grid(r, c) for r, c in ((3, 3), (4, 4), (4, 6), (5, 5), (6, 6))]
+    out += [random_outerplanar(8 + s * 4, s) for s in range(4)]
+    return out
+
+
+def _solve_every_combination(g, options):
+    """planar._best_combination without the cover test: every combination is
+    re-dominated, with the running best as the cutoff."""
+    from indom.planar import _COMBINATION_CAP
+
+    if not options:
+        return 0, 0, 0, 0, 0
+    combos = 1
+    for choice in options:
+        combos *= len(choice)
+    if combos > _COMBINATION_CAP:
+        budget = _COMBINATION_CAP
+        trimmed = []
+        for choice in sorted(options, key=len, reverse=True):
+            if budget // len(choice) >= 1 and budget > 1:
+                trimmed.append(choice)
+                budget //= len(choice)
+            else:
+                trimmed.append(choice[:1])
+        options = trimmed
+    best = None
+    solved = 0
+    for combo in itertools.product(*options):
+        a_mask = 0
+        for m in combo:
+            a_mask |= m
+        cutoff = -1 if best is None else best[0]
+        value, witness, _ = gamma_of_independent_set_fast(g, a_mask, cutoff=cutoff)
+        solved += 1
+        if best is None or value > best[0]:
+            best = (value, a_mask, witness)
+    return (*best, solved, 0)
+
+
 class TestPtas:
     def corpus(self):
         out = [("path8", path(8)), ("path12", path(12)), ("cycle9", cycle(9))]
         out += [("grid3x3", grid(3, 3)), ("grid4x4", grid(4, 4))]
         out += [(f"outer{s}", random_outerplanar(11 + s, s)) for s in range(3)]
+        # an oracle cross-check of the combination search on random inputs
+        out += [(f"outer{s}", random_outerplanar(5 + s % 10, s)) for s in range(100, 140)]
         return out
 
     def test_guarantee_and_upper_bound(self):
@@ -116,7 +164,6 @@ class TestPtas:
         # combination it tried, and the reported value that of the
         # certificate's independent set (what perfbench's check_output asserts)
         from indom import planar
-        from indom.exactexp import gamma_of_independent_set_fast
 
         tried = []
         cut = []
@@ -135,10 +182,7 @@ class TestPtas:
 
         monkeypatch.setattr(planar, "gamma_of_independent_set_fast", recording)
         monkeypatch.setattr(planar, "_best_combination", per_shift)
-        corpus = [path(n) for n in (6, 10, 14, 20, 25)]
-        corpus += [cycle(n) for n in (5, 9, 13, 20)]
-        corpus += [grid(r, c) for r, c in ((3, 3), (4, 4), (4, 6), (5, 5), (6, 6))]
-        corpus += [random_outerplanar(8 + s * 4, s) for s in range(4)]
+        corpus = _cutoff_corpus()
         shifts = 0
         for g in corpus:
             for k in (2, 3, 4):
@@ -153,6 +197,27 @@ class TestPtas:
                 assert res.value == gamma_of_independent_set_fast(g, a_mask)[0]
         assert shifts == sum((2, 3, 4)) * len(corpus)
         assert any(cut)
+
+    def test_cover_test_keeps_the_result_of_solving_every_combination(self, monkeypatch):
+        # the pool shapes of the ptas benchmark workload, and the cutoff corpus
+        from indom import planar
+
+        corpus = _cutoff_corpus()
+        corpus += [grid(r, c) for r, c in ((6, 7), (6, 8), (6, 9), (7, 7), (7, 8))]
+        corpus += [random_outerplanar(n, n) for n in range(20, 60, 4)]
+        counts = {"combinations_solved": 0, "combinations_settled": 0}
+        settled = 0
+        for g in corpus:
+            for k in (2, 3, 4):
+                res = ptas_gamma_i(g, 1.0 / k)
+                with monkeypatch.context() as patch:
+                    patch.setattr(planar, "_best_combination", _solve_every_combination)
+                    ref = ptas_gamma_i(g, 1.0 / k)
+                assert replace(res, **counts) == replace(ref, **counts), (g.n, k)
+                total = res.combinations_solved + res.combinations_settled
+                assert total == ref.combinations_solved, (g.n, k)
+                settled += res.combinations_settled
+        assert settled > 0
 
     def test_disconnected_input(self):
         g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
