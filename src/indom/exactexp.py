@@ -6,6 +6,13 @@ finishing with a maximum-matching base case; large sets fall back to subset
 enumeration over the outside vertices. The split threshold is DEFAULT_BETA
 times n.
 
+The solver enumerates the sets itself, with an iterative Bron-Kerbosch
+search with Tomita pivoting (TCS 363, 2006) over non-neighbors. It yields
+the sets in the same order as `oracle.enumerate_maximal_independent_sets`,
+which stays the ground truth it is tested against. What does not depend on
+the set (the isolated vertices, the rows the greedy cover scans) is worked
+out once per graph.
+
 The answer is a maximum over sets of a minimum, so a set only matters if it
 beats the running maximum. A set with |M| <= best is skipped (M dominates
 itself), and the per-set solver takes the running maximum as a cutoff c:
@@ -22,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, bits, is_independent, mask_from
-from .oracle import DominationCertificate, enumerate_maximal_independent_sets
+from .oracle import DominationCertificate
 
 DEFAULT_BETA = 0.6827
 DEFAULT_CEILING = 40
@@ -164,31 +171,41 @@ def gamma_of_independent_set_fast(
     with the default c = -1, the value and witness are the exact minimum.
     """
     m = mask_from(m)
+    if m < 0 or m >> g.n:
+        raise GraphError(f"set names a vertex outside 0..{g.n - 1}")
     if not is_independent(g, m):
         raise GraphError("set is not independent")
     if stats is None:
         stats = BranchStats()
-    if m == 0:
-        return 0, 0, stats
-    outside = g.full_mask & ~m
+    committed = mask_from(v for v in bits(m) if not g.row[v])
+    rows = [(row, v) for v, row in enumerate(g.row) if row & m]
+    value, witness = _gamma_of_set(g, m, committed, rows, stats, cutoff)
+    return value, witness, stats
 
-    committed = 0
-    remaining = m
-    for v in bits(m):
-        if g.row[v] & outside == 0:
-            # no outside neighbor: only v itself can dominate v
-            committed |= 1 << v
-            remaining &= ~(1 << v)
+
+def _gamma_of_set(g, m, committed, rows, stats, cutoff):
+    """gamma_of_independent_set_fast for a checked independent set m.
+
+    committed holds the members of m without neighbors: m is independent,
+    so they are the members with no neighbor outside m, and only they can
+    dominate themselves. rows lists (g.row[v], v) in increasing v for at
+    least every vertex with a neighbor in m: the candidates of the greedy
+    cover. A vertex with no neighbor in m never gains, so more rows change
+    nothing but the time.
+    """
+    if m == 0:
+        return 0, 0
+    outside = g.full_mask & ~m
+    remaining = m & ~committed
     base_count = committed.bit_count()
 
     if cutoff >= base_count:
-        # greedy cover: take the outside vertex covering the most of the rest
-        covers = [(cover, x) for x in bits(outside) if (cover := g.row[x] & remaining)]
+        # greedy cover: take the vertex covering the most of the rest
         count, witness, rem = base_count, committed, remaining
         while rem and count <= cutoff:
             gain = 0
-            for cover, v in covers:
-                c = (cover & rem).bit_count()
+            for row, v in rows:
+                c = (row & rem).bit_count()
                 if c > gain:
                     gain, x = c, v
             count += 1
@@ -196,7 +213,7 @@ def gamma_of_independent_set_fast(
             rem &= ~g.row[x]
         if count <= cutoff:
             stats.sets_cut += 1
-            return count, witness, stats
+            return count, witness
 
     best = [None, None]  # value, witness
 
@@ -259,17 +276,14 @@ def gamma_of_independent_set_fast(
         descend(rem, avail & ~xbit, count, chosen, depth + 1)
 
     descend(remaining, outside, base_count, committed, 0)
-    return best[0], best[1], stats
+    return best[0], best[1]
 
 
-def _gamma_by_subsets(g, m, stats):
+def _gamma_by_subsets(g, m, mandatory, stats):
     """Smallest dominating set of m by subset enumeration over the outside
-    vertices plus the members of m nobody else can dominate."""
+    vertices plus the members of m nobody else can dominate (mandatory, the
+    isolated members of m)."""
     stats.subset_calls += 1
-    mandatory = 0
-    for v in bits(m):
-        if g.row[v] == 0:
-            mandatory |= 1 << v
     others = [v for v in bits(g.full_mask & ~m)]
     base = mandatory.bit_count()
     cover_base = 0
@@ -283,6 +297,42 @@ def _gamma_by_subsets(g, m, stats):
             if m & ~cover == 0:
                 return base + extra, mandatory | mask_from(combo)
     raise GraphError("unreachable: V dominates m")
+
+
+def _maximal_independent_sets(g):
+    """Every maximal independent set of g as a mask, in the order of
+    oracle.enumerate_maximal_independent_sets: the same search with an
+    explicit stack. A node (r, p, x) holds the set r, the candidates p and
+    the excluded x. Its pivot is the w in p | x with the fewest candidates
+    in N[w], ties going to the larger id; the children take the candidates
+    in N[w] in increasing order, each excluding the earlier ones."""
+    closed = g.closed
+    stack = [(0, g.full_mask, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
+        least = g.n + 1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            c = (p & closed[w]).bit_count()
+            if c <= least:
+                least, pivot = c, w
+            rest ^= low
+        ext = p & closed[pivot]
+        children = []
+        while ext:
+            low = ext & -ext
+            v = low.bit_length() - 1
+            children.append((r | low, p & ~closed[v], x & ~closed[v]))
+            p ^= low
+            x |= low
+            ext ^= low
+        stack += reversed(children)
 
 
 def gamma_i_exact(
@@ -305,15 +355,18 @@ def gamma_i_exact(
     best_value = 0
     best_cert = DominationCertificate(0, 0, 0)
     threshold = beta * g.n
-    for m in enumerate_maximal_independent_sets(g):
+    isolated = mask_from(v for v, row in enumerate(g.row) if not row)
+    rows = [(row, v) for v, row in enumerate(g.row) if row]
+    for m in _maximal_independent_sets(g):
         stats.sets_enumerated += 1
-        if m.bit_count() <= best_value:
+        size = m.bit_count()
+        if size <= best_value:
             stats.sets_cut += 1
             continue
-        if m.bit_count() <= threshold:
-            value, witness, _ = gamma_of_independent_set_fast(g, m, stats, best_value)
+        if size <= threshold:
+            value, witness = _gamma_of_set(g, m, m & isolated, rows, stats, best_value)
         else:
-            value, witness = _gamma_by_subsets(g, m, stats)
+            value, witness = _gamma_by_subsets(g, m, m & isolated, stats)
         if value > best_value:
             best_value = value
             best_cert = DominationCertificate(m, witness, value)

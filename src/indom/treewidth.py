@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-import threading
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import groupby
@@ -394,26 +393,24 @@ def _forget_map(a, b, p, q):
 class _MapCache:
     """Index maps by builder and shape, holding at most `limit` entries in
     all: a map larger than that is built and not kept, and a cache that
-    would overflow is emptied first. Threads may share it."""
+    would overflow is emptied first."""
 
     def __init__(self, limit):
         self.limit = limit
         self.maps = {}
         self.size = 0
-        self.lock = threading.Lock()
 
     def get(self, build, *shape):
         key = (build, *shape)
         m = self.maps.get(key)
         if m is None:
             m = tuple(build(*shape))
-            with self.lock:
-                if len(m) <= self.limit:
-                    if self.size + len(m) > self.limit:
-                        self.maps.clear()
-                        self.size = 0
-                    self.maps[key] = m
-                    self.size += len(m)
+            if len(m) <= self.limit:
+                if self.size + len(m) > self.limit:
+                    self.maps.clear()
+                    self.size = 0
+                self.maps[key] = m
+                self.size += len(m)
         return m
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from indom import Graph, build_graph, mask_from, verify_certificate, dominates
+from indom import Graph, GraphError, build_graph, mask_from, verify_certificate, dominates
 from indom.exactexp import (
     DEFAULT_BETA,
     BranchStats,
@@ -11,9 +11,18 @@ from indom.exactexp import (
     gamma_i_exact,
     gamma_of_independent_set_fast,
     maximum_matching_general,
+    _gamma_by_subsets,
+    _maximal_independent_sets,
 )
-from indom.oracle import enumerate_maximal_independent_sets, gamma_i_oracle, gamma_of_set
+from indom.graph import bits
+from indom.oracle import (
+    DominationCertificate,
+    enumerate_maximal_independent_sets,
+    gamma_i_oracle,
+    gamma_of_set,
+)
 from indom.generators import cycle, gnp, path, star
+from indom.treewidth import gamma_i_treewidth, heuristic_decomposition
 
 
 def petersen():
@@ -73,6 +82,11 @@ class TestFastGammaOfSet:
         value, witness, _ = gamma_of_independent_set_fast(g, {1, 2, 3})
         assert value == 3
         assert witness & 0b1100 == 0b1100  # isolated vertices dominate themselves
+
+    @pytest.mark.parametrize("m", [{5}, 1 << 3, -4])
+    def test_vertex_outside_the_graph_is_refused(self, m):
+        with pytest.raises(GraphError, match=r"outside 0\.\.2"):
+            gamma_of_independent_set_fast(Graph(3, [(0, 1)]), m)
 
     def test_matches_slow_oracle(self):
         for seed in range(120):
@@ -144,6 +158,58 @@ class TestCutoff:
                 assert stats.subset_calls == 0
 
 
+def oracle_loop_gamma_i_exact(g, beta):
+    """Reference for gamma_i_exact's loop: the oracle's enumerator, the
+    public per-set kernel with all its checks, and the isolated members of
+    each set found by a scan of the set."""
+    stats = BranchStats()
+    best_value = 0
+    best_cert = DominationCertificate(0, 0, 0)
+    for m in enumerate_maximal_independent_sets(g):
+        stats.sets_enumerated += 1
+        if m.bit_count() <= best_value:
+            stats.sets_cut += 1
+            continue
+        if m.bit_count() <= beta * g.n:
+            value, witness, _ = gamma_of_independent_set_fast(g, m, stats, best_value)
+        else:
+            mandatory = mask_from(v for v in bits(m) if g.row[v] == 0)
+            value, witness = _gamma_by_subsets(g, m, mandatory, stats)
+        if value > best_value:
+            best_value = value
+            best_cert = DominationCertificate(m, witness, value)
+    return best_value, best_cert, stats
+
+
+class TestOwnEnumerator:
+    def test_same_sequence_as_the_oracle(self):
+        rng = random.Random(16)
+        graphs = [Graph(0), Graph(1), Graph(7), build_graph(6, [(u, v) for u in range(6)
+                                                                for v in range(u + 1, 6)])]
+        graphs += [triangles(t) for t in range(1, 7)]
+        graphs += [gnp(rng.randint(1, 24), rng.uniform(0.05, 0.6), seed) for seed in range(300)]
+        for g in graphs:
+            assert list(_maximal_independent_sets(g)) == list(enumerate_maximal_independent_sets(g))
+        assert sum(1 for _ in _maximal_independent_sets(triangles(6))) == 3**6
+
+    def test_same_answer_and_stats_as_the_oracle_loop(self):
+        # beta = 0 sends every set to subset enumeration, which is
+        # exponential in the outside vertices, so it runs on n <= 20 only
+        rng = random.Random(17)
+        cases = [(rng.randint(8, 32), rng.uniform(0.08, 0.32), rng.randrange(10**6))
+                 for _ in range(300)]
+        routes = {0: 0, DEFAULT_BETA: 0, 1: 0}
+        for n, p, seed in cases:
+            g = gnp(n, p, seed)
+            for beta in routes:
+                if beta == 0 and n > 20:
+                    continue
+                value, cert, stats = gamma_i_exact(g, beta=beta)
+                assert (value, cert, stats) == oracle_loop_gamma_i_exact(g, beta)
+                routes[beta] += 1
+        assert routes[0] >= 100 and routes[1] == 300, routes
+
+
 class TestGammaIExact:
     def test_oracle_equivalence(self):
         for seed in range(80):
@@ -166,6 +232,18 @@ class TestGammaIExact:
         value, cert, stats = gamma_i_exact(g)
         assert value == 6
         assert stats.subset_calls == 1  # the single maximal set is all of V
+
+    def test_agrees_with_the_bag_dp_above_the_oracle_range(self):
+        # the two routes share no solver code; the bag DP is exact at any n
+        # once the min-fill width is small
+        agreed = 0
+        for seed in range(16):
+            g = gnp(30 + seed % 11, (0.06, 0.08)[seed % 2], seed)
+            if heuristic_decomposition(g).width > 6:
+                continue
+            assert gamma_i_exact(g)[0] == gamma_i_treewidth(g)[0]
+            agreed += 1
+        assert agreed >= 14
 
     def test_beta_default(self):
         assert math.isclose(DEFAULT_BETA, 0.6827)
