@@ -36,7 +36,10 @@ def mask_from(vertices: Iterable[int] | int) -> int:
         return vertices
     m = 0
     for v in vertices:
-        m |= 1 << v
+        try:
+            m |= 1 << v
+        except ValueError:  # only a negative shift count
+            raise GraphError(f"vertex id {v} is negative") from None
     return m
 
 

@@ -16,6 +16,12 @@ one shift, a combination that cannot beat the best value so far is settled
 without an exact solve: first by one mask test against the closed
 neighbourhoods of the dominating sets already found, otherwise by a solve
 with that value as its cutoff. The best value of every shift is still exact.
+
+A piece graph that recurs within one call, across shifts or components, is
+decomposed, solved and searched for optimal sets once, and lifted through
+its own id maps at each occurrence. The optimal-set search skips the same
+way: a maximal independent set inside N[D] for a witness D with
+|D| < the piece optimum cannot reach it and is not solved.
 """
 
 from __future__ import annotations
@@ -90,6 +96,9 @@ class PtasResult:
     certified_values: dict = field(default_factory=dict)  # (root, shift) -> re-evaluated value
     combinations_solved: int = 0  # combinations re-dominated in g
     combinations_settled: int = 0  # combinations settled by the cover test
+    pieces_solved: int = 0  # distinct piece graphs solved
+    pieces_reused: int = 0  # piece occurrences answered by an earlier solve
+    sets_settled: int = 0  # piece sets skipped by the cover test
 
 
 # caps for the witness search: per piece, how many optimal independent sets
@@ -98,17 +107,38 @@ _OPTIONS_PER_PIECE = 8
 _COMBINATION_CAP = 256
 
 
+def _outside_cover(g, witness):
+    """~N[D] for a dominating set D: a set A with A & ~N[D] == 0 lies inside
+    N[D], so D dominates it and gamma(A) <= |D|."""
+    cover = 0
+    for v in bits(witness):
+        cover |= g.closed[v]
+    return ~cover
+
+
 def _optimal_sets(part, value, cap=_OPTIONS_PER_PIECE):
-    """Up to cap maximal independent sets of the piece achieving its optimum."""
+    """Up to cap maximal independent sets of the piece achieving its optimum,
+    in enumeration order, and how many sets the cover test skipped.
+
+    A set inside N[D] for a witness D with |D| < value is skipped unsolved.
+    """
     from .oracle import enumerate_maximal_independent_sets, gamma_of_set
 
     found = []
+    uncovered = []  # ~N[D] for every witness D below the optimum
+    settled = 0
     for m in enumerate_maximal_independent_sets(part):
-        if gamma_of_set(part, m)[0] == value:
+        if any(m & u == 0 for u in uncovered):
+            settled += 1
+            continue
+        size, witness = gamma_of_set(part, m)
+        if size < value:
+            uncovered.append(_outside_cover(part, witness))
+        else:
             found.append(m)
             if len(found) >= cap:
                 break
-    return found
+    return found, settled
 
 
 def ptas_gamma_i(
@@ -130,6 +160,8 @@ def ptas_gamma_i(
     """
     if not (0 < epsilon < 1):
         raise GraphError("epsilon must be in (0, 1)")
+    if not math.isfinite(1 / epsilon):
+        raise GraphError(f"epsilon {epsilon} is too small: 1/epsilon is not finite")
     if root is not None and not 0 <= root < g.n:
         raise GraphError(f"root {root} is not a vertex in 0..{g.n - 1}")
     k = math.ceil(1 / epsilon)
@@ -139,6 +171,7 @@ def ptas_gamma_i(
     a_total = 0
     d_total = 0
     total = 0
+    pieces = {}  # piece graph -> (DP value, optimal sets), for this call only
     for comp in connected_components(g):
         comp_root = root if root is not None and comp >> root & 1 else next(bits(comp))
         sub, ids = induced_subgraph(g, comp)
@@ -152,17 +185,25 @@ def ptas_gamma_i(
             options = []  # per piece component: candidate A masks in g's ids
             for piece_comp in connected_components(piece):
                 part, part_ids = induced_subgraph(piece, piece_comp)
-                try:
-                    value, cert = gamma_i_treewidth(
-                        part, heuristic_decomposition(part), width_ceiling
-                    )
-                except GraphError as exc:
-                    raise type(exc)(
-                        f"piece (root {comp_root}, shift {ell}): {exc}"
-                    ) from exc
+                if part in pieces:
+                    result.pieces_reused += 1
+                else:
+                    try:
+                        value, cert = gamma_i_treewidth(
+                            part, heuristic_decomposition(part), width_ceiling
+                        )
+                    except GraphError as exc:
+                        raise type(exc)(
+                            f"piece (root {comp_root}, shift {ell}): {exc}"
+                        ) from exc
+                    sets, settled = _optimal_sets(part, value)
+                    pieces[part] = (value, sets or [cert.independent_set])
+                    result.pieces_solved += 1
+                    result.sets_settled += settled
+                value, sets = pieces[part]
                 piece_value += value
                 lifted = []
-                for m in _optimal_sets(part, value) or [cert.independent_set]:
+                for m in sets:
                     mask = 0
                     for v in bits(m):
                         mask |= 1 << ids[piece_ids[part_ids[v]]]
@@ -225,10 +266,7 @@ def _best_combination(g, options):
             continue
         cutoff = -1 if best is None else best[0]
         value, witness, _ = gamma_of_independent_set_fast(g, a_mask, cutoff=cutoff)
-        cover = 0
-        for v in bits(witness):
-            cover |= g.closed[v]
-        uncovered.append(~cover)
+        uncovered.append(_outside_cover(g, witness))
         if best is None or value > best[0]:
             best = (value, a_mask, witness)
     return (*best, len(uncovered), settled)

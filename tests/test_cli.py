@@ -252,6 +252,12 @@ class TestBadFlags:
         assert code == 2
         assert "root" in reports[0]["error"]
 
+    def test_ptas_epsilon_with_infinite_inverse(self, tmp_path, capsys):
+        target = write_graph(tmp_path, grid(3, 3))
+        code, reports = run(capsys, ["ptas", target, "--epsilon", "1e-320"])
+        assert code == 2
+        assert len(reports) == 1 and "epsilon" in reports[0]["error"]
+
     @pytest.mark.parametrize("beta", ["nan", "-5"])
     def test_beta_outside_unit_interval(self, tmp_path, capsys, beta):
         target = write_graph(tmp_path, cycle(5))

@@ -79,6 +79,25 @@ class TestDominates:
         assert not dominates(g, 0, {1})
 
 
+def _negative_id_calls():
+    from indom.exactexp import gamma_of_independent_set_fast
+    from indom.graph import is_independent
+    from indom.oracle import gamma_of_set
+
+    return {
+        "gamma_of_independent_set_fast": lambda g: gamma_of_independent_set_fast(g, {0, -1}),
+        "is_independent": lambda g: is_independent(g, [2, -1]),
+        "dominates": lambda g: dominates(g, {0}, (v for v in (1, -1))),
+        "gamma_of_set": lambda g: gamma_of_set(g, {-1}),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_negative_id_calls()))
+def test_negative_id_is_a_graph_error_naming_it(entry):
+    with pytest.raises(GraphError, match="vertex id -1 is negative"):
+        _negative_id_calls()[entry](Graph(3, [(0, 1)]))
+
+
 def test_complement_c4_is_2k2():
     h = complement(c4())
     assert h.m == 2

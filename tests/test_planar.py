@@ -112,6 +112,75 @@ def _solve_every_combination(g, options):
     return (*best, solved, 0)
 
 
+def _head_optimal_sets(part, value):
+    """planar._optimal_sets without the cover test: every set is solved."""
+    from indom.oracle import enumerate_maximal_independent_sets, gamma_of_set
+    from indom.planar import _OPTIONS_PER_PIECE
+
+    found = []
+    for m in enumerate_maximal_independent_sets(part):
+        if gamma_of_set(part, m)[0] == value:
+            found.append(m)
+            if len(found) >= _OPTIONS_PER_PIECE:
+                break
+    return found
+
+
+def _solve_every_piece(g, epsilon):
+    """planar.ptas_gamma_i's piece loop with no reuse: every occurrence of a
+    piece is decomposed, solved and searched on its own."""
+    import math
+
+    from indom.graph import connected_components, induced_subgraph
+    from indom.oracle import DominationCertificate
+    from indom.planar import PtasResult, _best_combination
+    from indom.treewidth import gamma_i_treewidth, heuristic_decomposition
+
+    k = math.ceil(1 / epsilon)
+    result = PtasResult(0, DominationCertificate(0, 0, 0), k)
+    a_total = d_total = total = 0
+    for comp in connected_components(g):
+        comp_root = next(bits(comp))
+        sub, ids = induced_subgraph(g, comp)
+        layering = bfs_layering(sub, 1 << ids.index(comp_root))
+        best = None
+        for ell in range(1, min(k, layering.level_count + 1) + 1):
+            piece_value = 0
+            piece, piece_ids = shifted_subgraph(sub, layering, k, ell)
+            options = []
+            for piece_comp in connected_components(piece):
+                part, part_ids = induced_subgraph(piece, piece_comp)
+                value, cert = gamma_i_treewidth(part, heuristic_decomposition(part))
+                piece_value += value
+                lifted = []
+                for m in _head_optimal_sets(part, value) or [cert.independent_set]:
+                    mask = 0
+                    for v in bits(m):
+                        mask |= 1 << ids[piece_ids[part_ids[v]]]
+                    lifted.append(mask)
+                options.append(lifted)
+                result.pieces_solved += 1
+            certified, a_mask, witness, solved, settled = _best_combination(g, options)
+            result.combinations_solved += solved
+            result.combinations_settled += settled
+            result.piece_values[(comp_root, ell)] = piece_value
+            result.certified_values[(comp_root, ell)] = certified
+            if best is None or certified > best[0]:
+                best = (certified, ell, a_mask, witness)
+        certified, ell, a_mask, witness = best
+        total += certified
+        a_total |= a_mask
+        d_total |= witness
+        result.shifts.append((comp_root, ell))
+    result.value = total
+    result.certificate = DominationCertificate(a_total, d_total, total)
+    return result
+
+
+def _three_copies(h):
+    return Graph(3 * h.n, [(u + i * h.n, v + i * h.n) for i in range(3) for u, v in h.edges()])
+
+
 class TestPtas:
     def corpus(self):
         out = [("path8", path(8)), ("path12", path(12)), ("cycle9", cycle(9))]
@@ -218,6 +287,53 @@ class TestPtas:
                 assert total == ref.combinations_solved, (g.n, k)
                 settled += res.combinations_settled
         assert settled > 0
+
+    def test_piece_reuse_and_set_cover_test_keep_every_field(self):
+        # larger grids are left out for time only: at k = 2 their single
+        # combination is one exact solve of many seconds, the same on both sides
+        corpus = [grid(r, c) for r in range(2, 11) for c in range(r, 11) if r * c <= 64]
+        corpus += [random_outerplanar(n, n) for n in range(5, 60)]
+        unions = [_three_copies(random_outerplanar(n, n)) for n in range(4, 28)]
+        counts = {"pieces_solved": 0, "pieces_reused": 0, "sets_settled": 0}
+        reused_in_unions = settled = 0
+        for g in corpus + unions:
+            for eps in (0.5, 0.34, 0.25):
+                res = ptas_gamma_i(g, eps)
+                ref = _solve_every_piece(g, eps)
+                assert replace(res, **counts) == replace(ref, **counts), (g.n, eps)
+                assert res.pieces_solved + res.pieces_reused == ref.pieces_solved
+                if g in unions:
+                    reused_in_unions += res.pieces_reused > 0
+                settled += res.sets_settled
+        assert reused_in_unions == 3 * len(unions)
+        assert settled > 0
+
+    def test_grid_16_keeps_its_result_with_few_oracle_calls(self, monkeypatch):
+        from indom import oracle
+
+        calls = []
+        solve = oracle.gamma_of_set
+
+        def counting(g, b):
+            calls.append(b)
+            return solve(g, b)
+
+        monkeypatch.setattr(oracle, "gamma_of_set", counting)
+        res = ptas_gamma_i(grid(16, 16), 1 / 3)
+        assert res.value == 36
+        assert res.certificate.independent_set == int(
+            "924949240000924949220004925149020024929148020124949140020924a491", 16)
+        assert res.certificate.dominating_set == int(
+            "924900000000924900020020920100020120900100020920800100024922", 16)
+        assert (res.combinations_solved, res.combinations_settled) == (146, 302)
+        assert res.piece_values == {(0, 1): 60, (0, 2): 61, (0, 3): 61}
+        assert res.certified_values == {(0, 1): 35, (0, 2): 35, (0, 3): 36}
+        assert len(calls) <= 1500
+        assert res.pieces_reused > 0 and res.sets_settled > 0
+
+    def test_epsilon_with_infinite_inverse_rejected(self):
+        with pytest.raises(GraphError, match="epsilon"):
+            ptas_gamma_i(path(3), 1e-320)
 
     def test_disconnected_input(self):
         g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
