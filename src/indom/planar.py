@@ -13,15 +13,16 @@ and keeps the best, which makes it a true lower bound on the graph's
 independence-domination number (a piece alone may overshoot: deleting a
 layer can remove dominators and leave a strictly harder subgraph). Within
 one shift, a combination that cannot beat the best value so far is settled
-without an exact solve: first by one mask test against the closed
-neighbourhoods of the dominating sets already found, otherwise by a solve
+without an exact solve: first by counting its members outside the closed
+neighbourhood N[D] of each dominating set D already found (each of them can
+dominate itself, so gamma(A) <= |D| + |A \ N[D]|), otherwise by a solve
 with that value as its cutoff. The best value of every shift is still exact.
 
 A piece graph that recurs within one call, across shifts or components, is
 decomposed, solved and searched for optimal sets once, and lifted through
-its own id maps at each occurrence. The optimal-set search skips the same
-way: a maximal independent set inside N[D] for a witness D with
-|D| < the piece optimum cannot reach it and is not solved.
+its own id maps at each occurrence. The optimal-set search skips by the same
+count: a maximal independent set m with |D| + |m \ N[D]| below the piece
+optimum, for a witness D found earlier, cannot reach it and is not solved.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ class PtasResult:
     piece_values: dict = field(default_factory=dict)  # (root, shift) -> piece DP value
     certified_values: dict = field(default_factory=dict)  # (root, shift) -> re-evaluated value
     combinations_solved: int = 0  # combinations re-dominated in g
-    combinations_settled: int = 0  # combinations settled by the cover test
+    combinations_settled: int = 0  # combinations settled by |D| + |A \ N[D]| <= best
     pieces_solved: int = 0  # distinct piece graphs solved
     pieces_reused: int = 0  # piece occurrences answered by an earlier solve
-    sets_settled: int = 0  # piece sets skipped by the cover test
+    sets_settled: int = 0  # piece sets skipped by |D| + |m \ N[D]| < piece optimum
 
 
 # caps for the witness search: per piece, how many optimal independent sets
@@ -108,8 +109,8 @@ _COMBINATION_CAP = 256
 
 
 def _outside_cover(g, witness):
-    """~N[D] for a dominating set D: a set A with A & ~N[D] == 0 lies inside
-    N[D], so D dominates it and gamma(A) <= |D|."""
+    """~N[D] for a dominating set D: D and the members of a set A outside
+    N[D] dominate A, so gamma(A) <= |D| + |A & ~N[D]|."""
     cover = 0
     for v in bits(witness):
         cover |= g.closed[v]
@@ -118,22 +119,24 @@ def _outside_cover(g, witness):
 
 def _optimal_sets(part, value, cap=_OPTIONS_PER_PIECE):
     """Up to cap maximal independent sets of the piece achieving its optimum,
-    in enumeration order, and how many sets the cover test skipped.
+    in enumeration order, and how many sets the counting test skipped.
 
-    A set inside N[D] for a witness D with |D| < value is skipped unsolved.
+    Each member of a set m outside N[D] can dominate itself, so a witness D
+    gives gamma(m) <= |D| + |m & ~N[D]|; m is skipped unsolved when that
+    bound is below value for some witness D found so far.
     """
     from .oracle import enumerate_maximal_independent_sets, gamma_of_set
 
     found = []
-    uncovered = []  # ~N[D] for every witness D below the optimum
+    uncovered = []  # (~N[D], value - |D|) for every witness D below the optimum
     settled = 0
     for m in enumerate_maximal_independent_sets(part):
-        if any(m & u == 0 for u in uncovered):
+        if any((m & u).bit_count() < slack for u, slack in uncovered):
             settled += 1
             continue
         size, witness = gamma_of_set(part, m)
         if size < value:
-            uncovered.append(_outside_cover(part, witness))
+            uncovered.append((_outside_cover(part, witness), value - size))
         else:
             found.append(m)
             if len(found) >= cap:
@@ -231,12 +234,13 @@ def _best_combination(g, options):
 
     Returns (value, union, witness, solved, settled): the best union with its
     exact value and a minimum dominating set, and how many combinations were
-    re-dominated or settled without a solve. Every witness D a solve returns
-    has |D| <= the running best, so a union A inside its closed neighbourhood
-    N[D] has gamma(A) <= |D| and cannot raise the best: one mask test against
-    each N[D] found so far settles A. A union that fails every test gets the
-    running best as its solve's cutoff, which settles it just as well when it
-    cannot win.
+    re-dominated or settled without a solve. Any witness D a solve returned
+    dominates a union A once each member of A outside its closed
+    neighbourhood N[D] is added, so gamma(A) <= |D| + |A & ~N[D]|; when that
+    count is at most the running best for some D found so far, A cannot raise
+    the best and is settled. A union that fails every test gets the running
+    best as its solve's cutoff, which settles it just as well when it cannot
+    win.
     """
     if not options:
         return 0, 0, 0, 0, 0
@@ -255,18 +259,18 @@ def _best_combination(g, options):
                 trimmed.append(choice[:1])
         options = trimmed
     best = None
-    uncovered = []  # ~N[D] for every witness D returned so far
+    uncovered = []  # (~N[D], |D|) for every witness D returned so far
     settled = 0
     for combo in itertools.product(*options):
         a_mask = 0
         for m in combo:
             a_mask |= m
-        if any(a_mask & u == 0 for u in uncovered):
+        if any((a_mask & u).bit_count() + size <= best[0] for u, size in uncovered):
             settled += 1
             continue
         cutoff = -1 if best is None else best[0]
         value, witness, _ = gamma_of_independent_set_fast(g, a_mask, cutoff=cutoff)
-        uncovered.append(_outside_cover(g, witness))
+        uncovered.append((_outside_cover(g, witness), witness.bit_count()))
         if best is None or value > best[0]:
             best = (value, a_mask, witness)
     return (*best, len(uncovered), settled)

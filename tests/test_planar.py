@@ -325,11 +325,61 @@ class TestPtas:
             "924949240000924949220004925149020024929148020124949140020924a491", 16)
         assert res.certificate.dominating_set == int(
             "924900000000924900020020920100020120900100020920800100024922", 16)
-        assert (res.combinations_solved, res.combinations_settled) == (146, 302)
+        assert (res.combinations_solved, res.combinations_settled) == (86, 362)
+        # the plain N[D] cover test solved 146 of the same 448 combinations
+        assert res.combinations_solved + res.combinations_settled == 448
+        assert res.combinations_solved < 146
         assert res.piece_values == {(0, 1): 60, (0, 2): 61, (0, 3): 61}
         assert res.certified_values == {(0, 1): 35, (0, 2): 35, (0, 3): 36}
-        assert len(calls) <= 1500
+        assert len(calls) <= 700
         assert res.pieces_reused > 0 and res.sets_settled > 0
+
+    def test_grid_18_keeps_its_result_with_few_oracle_calls(self, monkeypatch):
+        from indom import oracle
+
+        calls = []
+        solve = oracle.gamma_of_set
+
+        def counting(g, b):
+            calls.append(b)
+            return solve(g, b)
+
+        monkeypatch.setattr(oracle, "gamma_of_set", counting)
+        res = ptas_gamma_i(grid(18, 18), 1 / 3)
+        assert res.value == 47
+        assert res.certificate.independent_set == int(
+            "4924a49242492524929249124910000a49244924400029249124910000a4924492440002924912491",
+            16)
+        assert res.certificate.dominating_set == int(
+            "124921249000014924800000000400029248000010000a49200000400029248000010000a4922", 16)
+        assert res.piece_values == {(0, 1): 78, (0, 2): 78, (0, 3): 72}
+        assert res.certified_values == {(0, 1): 42, (0, 2): 43, (0, 3): 47}
+        assert len(calls) <= 1000
+
+    def test_set_counting_test_keeps_every_optimal_set_in_order(self):
+        # every distinct piece the ptas meets on small grids and outerplanar
+        # graphs: the skipped sets never include an optimal one
+        from indom.graph import connected_components, induced_subgraph
+        from indom.planar import _optimal_sets
+        from indom.treewidth import gamma_i_treewidth, heuristic_decomposition
+
+        corpus = [grid(r, c) for r in range(2, 9) for c in range(r, 9)]
+        corpus += [random_outerplanar(n, n) for n in range(5, 60)]
+        parts = {}
+        for g in corpus:
+            layering = bfs_layering(g, 1)
+            for k in (2, 3, 4):
+                for ell in range(1, min(k, layering.level_count + 1) + 1):
+                    piece, _ = shifted_subgraph(g, layering, k, ell)
+                    for comp in connected_components(piece):
+                        parts[induced_subgraph(piece, comp)[0]] = None
+        settled = 0
+        for part in parts:
+            value = gamma_i_treewidth(part, heuristic_decomposition(part))[0]
+            sets, skipped = _optimal_sets(part, value)
+            assert sets == _head_optimal_sets(part, value), (part.n, value)
+            settled += skipped
+        assert settled > 0
 
     def test_epsilon_with_infinite_inverse_rejected(self):
         with pytest.raises(GraphError, match="epsilon"):
