@@ -25,13 +25,16 @@ interface of a partial solution (A, D) on ``W_e`` collapses to four bits:
 
 The value DP keeps, per A-configuration class, the minimum |D| for each
 (u, d) demand; a boolean table over counts (|A|, |D|) cannot recover the
-max-over-A of min-over-D. The feasibility tables of :func:`edge_tables`
+max-over-A of min-over-D. Each item carries one such A and, per demand, one
+D of that size, so the best root item is the certificate and nothing walks
+back down the tree. The feasibility tables of :func:`edge_tables`
 keep exactly those boolean entries, flags included, and exist to be checked
 verbatim against exhaustive enumeration on small instances.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 from .graph import Graph, GraphError, FormatError, bits, parse_ints, read_lines
@@ -285,66 +288,60 @@ def build_dh_decomposition(g: Graph, seq: PruningSequence) -> DHDecomposition:
 
 # --- value DP ----------------------------------------------------------------
 #
-# An item abstracts one class of independent sets A inside W_e:
+# An item abstracts one class of independent sets A inside W_e and carries
+# its own certificate, so no item refers to another:
 #   i     whether A meets Q_e,
-#   a     |A| for one representative (annotation only),
 #   c     cost vector: c[u*2+d] = min |D| subject to
 #         - D dominates all of A off the twinset, and all of A if u=0,
-#         - D meets the twinset if d=1.
-# Items whose cost vector is pointwise dominated within the same i are
-# dropped; the root maximizes c[u=0,d=0] over the surviving items.
+#         - D meets the twinset if d=1,
+#   a     one representative A, as a mask,
+#   d     per slot u*2+d, a dominating set D of cost c[u*2+d], as a mask.
+# A combined item ORs its children's A and, per slot, the D masks of the
+# first child slot pair of minimum cost. Items whose cost vector is
+# pointwise dominated within the same i are dropped; the root maximizes
+# c[u=0,d=0] over the surviving items, and its (a, d[0]) is the certificate.
 
 
 class _Item:
-    __slots__ = ("i", "a", "c", "prov")
+    __slots__ = ("i", "c", "a", "d")
 
-    def __init__(self, i, a, c, prov):
+    def __init__(self, i, c, a, d):
         self.i = i
-        self.a = a
         self.c = c
-        self.prov = prov
+        self.a = a
+        self.d = d
 
 
 def _leaf_items(g, node):
-    v = node.vertex
+    v = 1 << node.vertex
     if node.q:
-        items = [
-            _Item(False, 0, (0, 1, 0, 1), ("leaf", v, False)),
-            _Item(True, 1, (1, 1, 0, 1), ("leaf", v, False)),
-        ]
-    else:
-        items = [
-            _Item(False, 0, (0, INF, 0, INF), ("leaf", v, True)),
-            _Item(False, 1, (1, INF, 1, INF), ("leaf", v, True)),
-        ]
-    return _prune_items(items)
+        return [_Item(False, (0, 1, 0, 1), 0, (0, v, 0, v)),
+                _Item(True, (1, 1, 0, 1), v, (v, v, 0, v))]
+    # an isolated vertex: leaving it out of A costs pointwise less, so that
+    # item would be pruned
+    return [_Item(False, (1, INF, 1, INF), v, (v, 0, v, 0))]
 
 
-_ASSIGNMENTS = [(u1, d1, u2, d2) for u1 in (0, 1) for d1 in (0, 1) for u2 in (0, 1) for d2 in (0, 1)]
+def _legal_pairs(join, l_in, r_in):
+    """Per parent slot u*2+d, the child slot pairs (u1*2+d1, u2*2+d2) a node
+    allows, in (u1, d1, u2, d2) order: a child may defer its own domination
+    (u1, u2) only to D across a join or to the parent's deferral, and the
+    parent's d needs a child d inside the twinset."""
+    return tuple(
+        tuple(
+            (u1 * 2 + d1, u2 * 2 + d2)
+            for u1, d1, u2, d2 in itertools.product((0, 1), repeat=4)
+            if (not u1 or (join and d2) or (l_in and u))
+            and (not u2 or (join and d1) or (r_in and u))
+            and (not d or (d1 and l_in) or (d2 and r_in))
+        )
+        for u in (0, 1) for d in (0, 1)
+    )
 
 
-def _legal_assignments(join, l_in, r_in):
-    """Per parent slot u*2+d, the child assignments (u1, d1, u2, d2) a node
-    allows, as (child-1 slot, child-2 slot, assignment) in _ASSIGNMENTS
-    order: a child may defer its own domination (u1, u2) only to D across a
-    join or to the parent's deferral, and the parent's d needs a child d
-    inside the twinset."""
-    per_slot = []
-    for u in (0, 1):
-        for d in (0, 1):
-            per_slot.append(tuple(
-                (u1 * 2 + d1, u2 * 2 + d2, (u1, d1, u2, d2))
-                for u1, d1, u2, d2 in _ASSIGNMENTS
-                if (not u1 or (join and d2) or (l_in and u))
-                and (not u2 or (join and d1) or (r_in and u))
-                and (not d or (d1 and l_in) or (d2 and r_in))
-            ))
-    return tuple(per_slot)
-
-
-# (join, left twinset kept, right twinset kept) -> legal assignments per slot
+# (join, left twinset kept, right twinset kept) -> legal slot pairs per slot
 _LEGAL = {
-    (join, l_in, r_in): _legal_assignments(join, l_in, r_in)
+    (join, l_in, r_in): _legal_pairs(join, l_in, r_in)
     for join in (False, True) for l_in in (False, True) for r_in in (False, True)
 }
 
@@ -355,25 +352,25 @@ def _combine_items(node, items1, items2):
     legal = _LEGAL[join, l_in, r_in]
     out = []
     for it1 in items1:
-        c1 = it1.c
+        c1, d1 = it1.c, it1.d
         for it2 in items2:
             if join and it1.i and it2.i:
                 continue
-            i = (it1.i and l_in) or (it2.i and r_in)
-            c2 = it2.c
+            c2, d2 = it2.c, it2.d
             c = []
-            assign = []
+            d = []
             for slot in legal:
                 best = INF
-                pick = None
-                for k1, k2, pair in slot:
+                dom = 0
+                for k1, k2 in slot:
                     cost = c1[k1] + c2[k2]
                     if cost < best:
                         best = cost
-                        pick = pair
+                        dom = d1[k1] | d2[k2]
                 c.append(best)
-                assign.append(pick)
-            out.append(_Item(i, it1.a + it2.a, tuple(c), ("comb", it1, it2, tuple(assign))))
+                d.append(dom)
+            i = (it1.i and l_in) or (it2.i and r_in)
+            out.append(_Item(i, tuple(c), it1.a | it2.a, tuple(d)))
     return _prune_items(out)
 
 
@@ -415,27 +412,6 @@ def _value_items(g, decomp, stats):
     return table[id(decomp.root)]
 
 
-def _walk_certificate(root_item):
-    a_mask = 0
-    d_mask = 0
-    stack = [(root_item, 0, 0)]
-    while stack:
-        item, u, d = stack.pop()
-        kind = item.prov[0]
-        if kind == "leaf":
-            _, v, isolated = item.prov
-            if item.a:
-                a_mask |= 1 << v
-            if d == 1 or (item.a and (u == 0 or isolated)):
-                d_mask |= 1 << v
-        else:
-            _, it1, it2, assign = item.prov
-            u1, d1, u2, d2 = assign[u * 2 + d]
-            stack.append((it1, u1, d1))
-            stack.append((it2, u2, d2))
-    return a_mask, d_mask
-
-
 def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None,
                stats: DHStats | None = None):
     """Independence-domination number of a distance-hereditary graph.
@@ -455,11 +431,9 @@ def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None,
     if decomp.root.is_leaf:
         v = decomp.root.vertex
         return 1, DominationCertificate(1 << v, 1 << v, 1)
-    items = _value_items(g, decomp, stats)
-    best = max(items, key=lambda it: it.c[0])
+    best = max(_value_items(g, decomp, stats), key=lambda it: it.c[0])
     value = best.c[0]
-    a_mask, d_mask = _walk_certificate(best)
-    return value, DominationCertificate(a_mask, d_mask, value)
+    return value, DominationCertificate(best.a, best.d[0], value)
 
 
 # --- feasibility tables ------------------------------------------------------

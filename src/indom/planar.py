@@ -15,13 +15,13 @@ layer can remove dominators and leave a strictly harder subgraph). Within
 one shift, a combination that cannot beat the best value so far is settled
 without an exact solve: first by counting its members outside the closed
 neighbourhood N[D] of each dominating set D already found (each of them can
-dominate itself, so gamma(A) <= |D| + |A \ N[D]|), otherwise by a solve
+dominate itself, so gamma(A) <= |D| + |A - N[D]|), otherwise by a solve
 with that value as its cutoff. The best value of every shift is still exact.
 
 A piece graph that recurs within one call, across shifts or components, is
 decomposed, solved and searched for optimal sets once, and lifted through
 its own id maps at each occurrence. The optimal-set search skips by the same
-count: a maximal independent set m with |D| + |m \ N[D]| below the piece
+count: a maximal independent set m with |D| + |m - N[D]| below the piece
 optimum, for a witness D found earlier, cannot reach it and is not solved.
 """
 
@@ -192,7 +192,7 @@ def ptas_gamma_i(
                     result.pieces_reused += 1
                 else:
                     try:
-                        value, cert = gamma_i_treewidth(
+                        value, _ = gamma_i_treewidth(
                             part, heuristic_decomposition(part), width_ceiling
                         )
                     except GraphError as exc:
@@ -200,7 +200,7 @@ def ptas_gamma_i(
                             f"piece (root {comp_root}, shift {ell}): {exc}"
                         ) from exc
                     sets, settled = _optimal_sets(part, value)
-                    pieces[part] = (value, sets or [cert.independent_set])
+                    pieces[part] = (value, sets)
                     result.pieces_solved += 1
                     result.sets_settled += settled
                 value, sets = pieces[part]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,14 @@ class TestGammaI:
         code, reports = run(capsys, ["gamma-i", target, "--diagram", str(diagram)])
         assert code == 2
         assert len(reports) == 1 and "error" in reports[0]
+
+    def test_both_refusals_in_one_error(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(5))
+        code, reports = run(capsys, ["gamma-i", target, "--width-ceiling", "1",
+                                     "--exact-ceiling", "3"])
+        assert code == 2
+        assert reports == [{"error": "n=5 above the exact-solver ceiling 3; treewidth "
+                                     "solver: decomposition width 2 exceeds ceiling 1"}]
 
     def test_forced_treewidth_refusal_exits_2(self, tmp_path, capsys):
         target = write_graph(tmp_path, grid(3, 3))
@@ -328,6 +337,12 @@ class TestExactCommand:
         stats = reports[0]["stats"]
         assert stats["sets_enumerated"] == 7  # the maximal independent sets of C7
         assert 0 < stats["sets_cut"] <= stats["sets_enumerated"]
+
+    def test_above_the_ceiling_exits_2(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(5))
+        code, reports = run(capsys, ["exact", target, "--exact-ceiling", "3"])
+        assert code == 2
+        assert reports == [{"error": "n=5 above the exact-solver ceiling 3"}]
 
 
 class TestPtasCommand:
@@ -523,3 +538,15 @@ def test_non_utf8_stdin_is_a_json_error():
                           input=b"\xfe3 1\n0 1\n", capture_output=True, env=env, timeout=60)
     assert done.returncode == 2, done.stderr
     assert json.loads(done.stdout) == {"error": "line 1: stdin: byte 0xfe is not UTF-8 text"}
+
+
+def test_sources_compile_with_warnings_as_errors():
+    # an invalid escape in a docstring is a warning at import, and an error
+    # under -W error
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "indom").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert len(sources) > 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in sources:
+            compile(source.read_text(encoding="utf-8"), str(source), "exec")

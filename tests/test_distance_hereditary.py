@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 
 import pytest
@@ -26,7 +28,7 @@ from indom.distance_hereditary import (
     replay_sequence,
     serialize_sequence,
 )
-from indom.oracle import INF, gamma_i_oracle
+from indom.oracle import INF, DominationCertificate, gamma_i_oracle
 from indom.cograph import ClassMismatchError
 from indom.generators import cycle, gnp, path, random_cograph, random_dh
 from tests.conftest import assert_rank_one, cover_of, subsets_of, twinset_of, valid_ops
@@ -429,7 +431,7 @@ def brute_force_value_items(g, node):
 
 def _combine_by_search(node, items1, items2):
     """The node combine as a search over all 16 child assignments per slot,
-    the first strict minimum kept."""
+    the first strict minimum kept with the union of its child slots' D."""
     join = node.label == JOIN
     l_in, r_in = node.l_in, node.r_in
     out = []
@@ -438,23 +440,23 @@ def _combine_by_search(node, items1, items2):
             if join and it1.i and it2.i:
                 continue
             c = [INF] * 4
-            assign = [None] * 4
+            dom = [0] * 4
             for u in (0, 1):
                 for d in (0, 1):
-                    for u1, d1, u2, d2 in distance_hereditary._ASSIGNMENTS:
+                    for u1, d1, u2, d2 in itertools.product((0, 1), repeat=4):
                         if u1 and not ((join and d2) or (l_in and u)):
                             continue
                         if u2 and not ((join and d1) or (r_in and u)):
                             continue
                         if d and not ((d1 and l_in) or (d2 and r_in)):
                             continue
-                        cost = it1.c[u1 * 2 + d1] + it2.c[u2 * 2 + d2]
+                        k1, k2 = u1 * 2 + d1, u2 * 2 + d2
+                        cost = it1.c[k1] + it2.c[k2]
                         if cost < c[u * 2 + d]:
                             c[u * 2 + d] = cost
-                            assign[u * 2 + d] = (u1, d1, u2, d2)
+                            dom[u * 2 + d] = it1.d[k1] | it2.d[k2]
             i = (it1.i and l_in) or (it2.i and r_in)
-            out.append(distance_hereditary._Item(
-                i, it1.a + it2.a, tuple(c), ("comb", it1, it2, tuple(assign))))
+            out.append(distance_hereditary._Item(i, tuple(c), it1.a | it2.a, tuple(dom)))
     return distance_hereditary._prune_items(out)
 
 
@@ -488,8 +490,8 @@ class TestCombineTable:
                 kids = items[id(node.left)], items[id(node.right)]
                 got = distance_hereditary._combine_items(node, *kids)
                 want = _combine_by_search(node, *kids)
-                assert [(it.i, it.a, it.c, it.prov[3]) for it in got] == \
-                    [(it.i, it.a, it.c, it.prov[3]) for it in want]
+                assert [(it.i, it.c, it.a, it.d) for it in got] == \
+                    [(it.i, it.c, it.a, it.d) for it in want]
                 items[id(node)] = got
 
     def test_certificates_match_the_search(self, monkeypatch):
@@ -505,6 +507,142 @@ class TestCombineTable:
                             gamma_i_dh(made.graph, d)))
             runs.append(run)
         assert runs[0] == runs[1]
+
+
+class _ProvItem:
+    """An item of the design that walks its certificate back down the tree:
+    |A| and a link to the two child items and each slot's child slots."""
+
+    __slots__ = ("i", "a", "c", "prov")
+
+    def __init__(self, i, a, c, prov):
+        self.i = i
+        self.a = a
+        self.c = c
+        self.prov = prov
+
+
+def _provenance_leaf_items(node):
+    v = node.vertex
+    if node.q:
+        items = [_ProvItem(False, 0, (0, 1, 0, 1), ("leaf", v, False)),
+                 _ProvItem(True, 1, (1, 1, 0, 1), ("leaf", v, False))]
+    else:
+        items = [_ProvItem(False, 0, (0, INF, 0, INF), ("leaf", v, True)),
+                 _ProvItem(False, 1, (1, INF, 1, INF), ("leaf", v, True))]
+    return distance_hereditary._prune_items(items)
+
+
+def _provenance_combine(node, items1, items2):
+    join = node.label == JOIN
+    l_in, r_in = node.l_in, node.r_in
+    legal = distance_hereditary._LEGAL[join, l_in, r_in]
+    out = []
+    for it1 in items1:
+        for it2 in items2:
+            if join and it1.i and it2.i:
+                continue
+            c, picks = [], []
+            for slot in legal:
+                best, pick = INF, None
+                for k1, k2 in slot:
+                    if it1.c[k1] + it2.c[k2] < best:
+                        best, pick = it1.c[k1] + it2.c[k2], (k1, k2)
+                c.append(best)
+                picks.append(pick)
+            i = (it1.i and l_in) or (it2.i and r_in)
+            out.append(_ProvItem(i, it1.a + it2.a, tuple(c), ("comb", it1, it2, picks)))
+    return distance_hereditary._prune_items(out)
+
+
+def _provenance_root_item(decomp):
+    table = {}
+    for node in decomp.postorder():
+        if node.is_leaf:
+            table[id(node)] = _provenance_leaf_items(node)
+        else:
+            table[id(node)] = _provenance_combine(
+                node, table.pop(id(node.left)), table.pop(id(node.right)))
+    return max(table[id(decomp.root)], key=lambda it: it.c[0])
+
+
+def _walk_certificate(root_item):
+    """(A, D) of root_item's slot 0, collected at the leaves its links reach."""
+    a_mask = d_mask = 0
+    stack = [(root_item, 0)]
+    while stack:
+        item, slot = stack.pop()
+        u, d = slot >> 1, slot & 1
+        if item.prov[0] == "leaf":
+            _, v, isolated = item.prov
+            if item.a:
+                a_mask |= 1 << v
+            if d == 1 or (item.a and (u == 0 or isolated)):
+                d_mask |= 1 << v
+        else:
+            _, it1, it2, picks = item.prov
+            k1, k2 = picks[slot]
+            stack.append((it1, k1))
+            stack.append((it2, k2))
+    return a_mask, d_mask
+
+
+def _items_reachable(obj, kind):
+    """Items of class kind reachable from obj through its fields and plain
+    containers."""
+    found, seen, stack = [], set(), gc.get_referents(obj)
+    while stack:
+        ref = stack.pop()
+        if id(ref) in seen:
+            continue
+        seen.add(id(ref))
+        if isinstance(ref, kind):
+            found.append(ref)
+        elif isinstance(ref, (tuple, list, dict)):
+            stack.extend(gc.get_referents(ref))
+    return found
+
+
+class TestCarriedCertificates:
+    def test_same_certificates_as_the_walk_back_down_the_tree(self):
+        # the criterion-4 corpus and cographs (whose isolated vertices keep
+        # one leaf item), each through its generator's sequence and through
+        # recognition
+        compared = 0
+        for seed in range(300):
+            for made in (random_dh(4 + seed % 11, seed), random_cograph(1 + seed % 14, seed)):
+                for seq in (made.artifact, recognize_dh(made.graph)):
+                    if not isinstance(seq, PruningSequence):
+                        continue  # a cotree
+                    d = build_dh_decomposition(made.graph, seq)
+                    if d.root.is_leaf:
+                        continue
+                    best = _provenance_root_item(d)
+                    a_mask, d_mask = _walk_certificate(best)
+                    want = best.c[0], DominationCertificate(a_mask, d_mask, best.c[0])
+                    assert gamma_i_dh(made.graph, d) == want
+                    compared += 1
+        assert compared > 850
+
+    def test_no_item_refers_to_another(self):
+        item = distance_hereditary._Item  # an item held through a tuple is found
+        leaf = item(False, (0, 1, 0, 1), 0, (0, 1, 0, 1))
+        assert _items_reachable(item(False, (0,) * 4, 0, (leaf,) * 4), item) == [leaf]
+        for seed in range(10):
+            made = random_dh(6 + seed, seed)
+            g = made.graph
+            d = build_dh_decomposition(g, made.artifact)
+            items = {}
+            for node in d.postorder():
+                if node.is_leaf:
+                    items[id(node)] = distance_hereditary._leaf_items(g, node)
+                else:
+                    items[id(node)] = distance_hereditary._combine_items(
+                        node, items[id(node.left)], items[id(node.right)])
+                for it in items[id(node)]:
+                    assert _items_reachable(it, item) == []
+            # an item of the walked design refers to its children
+            assert _items_reachable(_provenance_root_item(d), _ProvItem) != []
 
 
 class TestEdgeTables:

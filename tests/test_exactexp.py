@@ -248,6 +248,12 @@ class TestGammaIExact:
     def test_beta_default(self):
         assert math.isclose(DEFAULT_BETA, 0.6827)
 
+    def test_refusals_raise_graph_errors(self):
+        with pytest.raises(GraphError, match="above the exact-solver ceiling 3"):
+            gamma_i_exact(cycle(5), ceiling=3)
+        with pytest.raises(GraphError, match="beta"):
+            gamma_i_exact(cycle(5), beta=2)
+
     def test_branch_growth_sanity(self):
         # crude log fit: nodes should grow no faster than an exponential with
         # a modest base; this is a smoke check, not a proof

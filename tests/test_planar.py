@@ -377,9 +377,19 @@ class TestPtas:
         for part in parts:
             value = gamma_i_treewidth(part, heuristic_decomposition(part))[0]
             sets, skipped = _optimal_sets(part, value)
+            assert sets
             assert sets == _head_optimal_sets(part, value), (part.n, value)
             settled += skipped
         assert settled > 0
+
+    def test_shift_that_deletes_a_whole_component(self):
+        # at k = 2 shift 1 deletes level 0, which is all of the isolated
+        # vertex 2, so that shift has no piece and no combination
+        g = Graph(3, [(0, 1)])
+        result = ptas_gamma_i(g, 0.5)
+        assert result.value == 2 == gamma_i_oracle(g)[0]
+        assert verify_certificate(g, result.certificate)
+        assert result.certified_values[(2, 1)] == 0
 
     def test_epsilon_with_infinite_inverse_rejected(self):
         with pytest.raises(GraphError, match="epsilon"):
