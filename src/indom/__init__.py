@@ -90,6 +90,7 @@ from .exactexp import (
     gamma_i_exact,
 )
 from .planar import Layering, PtasResult, bfs_layering, shifted_subgraph, ptas_gamma_i
+from .dispatch import ALGORITHMS, gamma_i
 from . import generators
 
 __all__ = [name for name in dir() if not name.startswith("_")]

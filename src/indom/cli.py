@@ -30,7 +30,6 @@ from .graph import (
     serialize,
 )
 from .oracle import (
-    DominationCertificate,
     gamma,
     gamma_of_set,
     gamma_i_oracle,
@@ -40,40 +39,26 @@ from .cograph import (
     ClassMismatchError,
     Cotree,
     P4Witness,
-    build_cotree,
-    cotree_to_graph,
-    gamma_cograph,
-    gamma_i_cograph,
     parse_cotree,
     serialize_cotree,
 )
 from .distance_hereditary import (
     DHFailure,
-    DHStats,
     PruningSequence,
-    build_dh_decomposition,
-    gamma_i_dh,
-    recognize_dh,
     serialize_sequence,
 )
 from .permutation import (
     PermutationDiagram,
-    diagram_to_graph,
-    gamma_i_permutation,
     parse_diagram,
     serialize_diagram,
 )
 from .treewidth import (
     DEFAULT_WIDTH_CEILING,
-    CapacityError,
-    DPStats,
-    gamma_i_treewidth,
-    heuristic_decomposition,
     parse_decomposition,
-    validate_decomposition,
 )
 from .exactexp import DEFAULT_BETA, DEFAULT_CEILING, gamma_i_exact
 from .planar import ptas_gamma_i
+from .dispatch import ALGORITHMS, gamma_i
 
 ENV_WIDTH_CEILING = "INDOM_WIDTH_CEILING"
 ENV_EXACT_CEILING = "INDOM_EXACT_CEILING"
@@ -155,76 +140,12 @@ def _report(args, g, algorithm, value, cert, extra=None):
     return 0
 
 
-def _side_files(g, args):
-    """Every side file given, parsed and checked against g before any solver
-    runs: (cotree, diagram, tree decomposition), None where not given."""
-    cotree = diagram = td = None
-    if args.cotree is not None:
-        cotree = _parse_file(args.cotree, parse_cotree)
-        if cotree_to_graph(cotree) != g:
-            raise GraphError("cotree does not match the input graph")
-    if args.diagram is not None:
-        diagram = _parse_file(args.diagram, parse_diagram)
-        if diagram_to_graph(diagram) != g:
-            raise GraphError("diagram does not match the input graph")
-    if args.td is not None:
-        td = _parse_file(args.td, parse_decomposition)
-        bad = validate_decomposition(g, td)
-        if bad is not None:
-            raise GraphError(f"invalid tree decomposition ({bad})")
-    return cotree, diagram, td
-
-
-def _dispatch_gamma_i(g, args, cotree, diagram, td):
-    """First applicable solver: cograph, distance-hereditary, permutation
-    (diagram given), treewidth (within the width ceiling), exact exponential.
-    Each class gets the side file given for it, or the recognizer's result;
-    a forced solver that refuses raises."""
-    algo = args.algo
-    if g.n == 0:
-        return algo if algo != "auto" else "exact", 0, DominationCertificate(0, 0, 0), {}
-    if algo in ("auto", "cograph"):
-        tree = cotree if cotree is not None else build_cotree(g)
-        if not isinstance(tree, P4Witness):
-            value, cert = gamma_i_cograph(g, tree)
-            extra = {"gamma": gamma_cograph(cotree)} if cotree is not None else {}
-            return "cograph", value, cert, extra
-        if algo == "cograph":
-            raise ClassMismatchError(f"not a cograph: induced path {tree.vertices}", witness=tree)
-    if algo in ("auto", "dh"):
-        stats = DHStats()
-        seq = recognize_dh(g, stats)
-        if not isinstance(seq, DHFailure):
-            value, cert = gamma_i_dh(g, build_dh_decomposition(g, seq), stats)
-            return "dh", value, cert, {"stats": stats.as_dict()}
-        if algo == "dh":
-            raise ClassMismatchError(
-                f"not distance-hereditary: stuck at vertex {seq.stuck_vertex}", witness=seq
-            )
-    if diagram is not None and algo in ("auto", "permutation"):
-        value, cert = gamma_i_permutation(diagram)
-        return "permutation", value, cert, {}
-    if algo == "permutation":
-        raise GraphError("permutation solver needs --diagram (recognition is out of scope)")
-    refused = None
-    if algo in ("auto", "treewidth"):
-        decomposition = td if td is not None else heuristic_decomposition(g)
-        stats = DPStats()
-        try:
-            value, cert = gamma_i_treewidth(g, decomposition, args.width_ceiling, stats)
-            return "treewidth", value, cert, {"width": decomposition.width,
-                                              "stats": stats.as_dict()}
-        except CapacityError as exc:
-            if algo == "treewidth":
-                raise
-            refused = exc
-    try:
-        value, cert, stats = gamma_i_exact(g, beta=args.beta, ceiling=args.exact_ceiling)
-    except GraphError as exc:
-        if refused is None:
-            raise
-        raise GraphError(f"{exc}; treewidth solver: {refused}") from None
-    return "exact", value, cert, {"stats": stats.as_dict()}
+def _side_files(args):
+    """Every side file given, parsed: (cotree, diagram, tree decomposition),
+    None where not given. gamma_i checks them against the graph."""
+    return tuple(None if path is None else _parse_file(path, parser)
+                 for path, parser in ((args.cotree, parse_cotree), (args.diagram, parse_diagram),
+                                      (args.td, parse_decomposition)))
 
 
 def cmd_gamma_i(args):
@@ -235,9 +156,11 @@ def cmd_gamma_i(args):
         # stdin can be read once; a second read would parse an empty file
         raise GraphError(f"'-' (stdin) can feed one file only, not {' and '.join(from_stdin)}")
     g = _load_graph(args)
-    side_files = _side_files(g, args)
+    side_files = _side_files(args)
     try:
-        algorithm, value, cert, extra = _dispatch_gamma_i(g, args, *side_files)
+        algorithm, value, cert, extra = gamma_i(
+            g, args.algo, *side_files, width_ceiling=args.width_ceiling, beta=args.beta,
+            exact_ceiling=args.exact_ceiling)
     except ClassMismatchError as exc:
         _emit({"input": args.input, "error": str(exc), "witness": _witness_dict(exc.witness)})
         return 2
@@ -318,24 +241,24 @@ def cmd_gen(args):
 
 def _suite_instance(kind, size, seed):
     """One instance of a verify suite with its solver's answer:
-    (graph, value, certificate). The chordal suite checks gamma = gamma_i, so
-    its certificate is None."""
-    if kind == "cograph":
-        g = generators.random_cograph(size, seed).graph
-        return g, *gamma_i_cograph(g)
-    if kind == "dh":
-        g = generators.random_dh(size, seed).graph
-        return g, *gamma_i_dh(g)
-    if kind == "permutation":
-        made = generators.random_permutation(size, seed)
-        return made.graph, *gamma_i_permutation(made.artifact)
+    (graph, value, certificate). Each class suite solves the generated graph
+    through gamma_i, forced onto the suite's solver, from the graph alone (the
+    permutation suite with its diagram). The chordal suite checks gamma =
+    gamma_i, so its certificate is None."""
     if kind == "chordal":
         g = generators.random_chordal(size, seed)
         return g, gamma(g)[0], None
-    g = generators.gnp(size, 0.3, seed)
-    if kind == "treewidth":
-        return g, *gamma_i_treewidth(g)
-    value, cert, _stats = gamma_i_exact(g)
+    diagram = None
+    if kind == "cograph":
+        g = generators.random_cograph(size, seed).graph
+    elif kind == "dh":
+        g = generators.random_dh(size, seed).graph
+    elif kind == "permutation":
+        made = generators.random_permutation(size, seed)
+        g, diagram = made.graph, made.artifact
+    else:
+        g = generators.gnp(size, 0.3, seed)
+    _, value, cert, _ = gamma_i(g, kind, diagram=diagram)
     return g, value, cert
 
 
@@ -438,8 +361,7 @@ def build_parser():
 
     p = sub.add_parser("gamma-i", help="class-aware dispatch")
     add_common(p)
-    p.add_argument("--algo", default="auto",
-                   choices=["auto", "cograph", "dh", "permutation", "treewidth", "exact"])
+    p.add_argument("--algo", default="auto", choices=ALGORITHMS)
     p.add_argument("--diagram", help="permutation diagram file")
     p.add_argument("--cotree", help="cotree file")
     p.add_argument("--td", help="tree decomposition file")

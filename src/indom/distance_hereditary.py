@@ -38,9 +38,10 @@ import itertools
 from dataclasses import asdict, dataclass
 
 from .graph import Graph, GraphError, FormatError, bits, parse_ints, read_lines
-from .oracle import DominationCertificate, INF
+from .oracle import DominationCertificate
 from .cograph import ClassMismatchError
 
+INF = 10**9  # cost of an infeasible value-DP slot
 PENDANT = "pendant"
 TRUE_TWIN = "ttwin"
 FALSE_TWIN = "ftwin"
@@ -398,17 +399,18 @@ def _prune_items(items):
 
 
 def _value_items(g, decomp, stats):
+    """Items of the root. The decomposition lists every leaf first, so a
+    leaf's items are made only when its parent combines them."""
     table = {}
     for node in decomp.postorder():
         if node.is_leaf:
-            items = _leaf_items(g, node)
-        else:
-            items1 = table.pop(id(node.left))
-            items2 = table.pop(id(node.right))
-            items = _combine_items(node, items1, items2)
+            continue
+        kids = [_leaf_items(g, c) if c.is_leaf else table.pop(id(c))
+                for c in (node.left, node.right)]
+        items = _combine_items(node, *kids)
         table[id(node)] = items
         if stats is not None:
-            stats.max_items = max(stats.max_items, len(items))
+            stats.max_items = max(stats.max_items, len(items), *map(len, kids))
     return table[id(decomp.root)]
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import Graph, GraphError, bits, is_independent, mask_from
 from .oracle import DominationCertificate
@@ -47,14 +47,7 @@ class BranchStats:
     sets_cut: int = 0  # settled without search: |M| or a greedy cover <= cutoff
 
     def as_dict(self):
-        return {
-            "nodes": self.nodes,
-            "max_depth": self.max_depth,
-            "matching_calls": self.matching_calls,
-            "subset_calls": self.subset_calls,
-            "sets_enumerated": self.sets_enumerated,
-            "sets_cut": self.sets_cut,
-        }
+        return asdict(self)
 
 
 def maximum_matching_general(g: Graph) -> list[tuple[int, int]]:

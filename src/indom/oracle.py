@@ -12,9 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, GraphError, bits, is_independent, mask_from, mask_to_list
-
-INF = 10**9
+from .graph import Graph, GraphError, bits, dominates, is_independent, mask_from, mask_to_list
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,6 @@ class DominationCertificate:
 
 
 def verify_certificate(g: Graph, cert: DominationCertificate) -> bool:
-    from .graph import dominates
-
     return (
         is_independent(g, cert.independent_set)
         and dominates(g, cert.dominating_set, cert.independent_set)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, FormatError, mask_to_list, parse_ints, read_lines
 from .oracle import DominationCertificate
+from .cograph import LEAF, UNION
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,6 @@ def parse_diagram(text: str) -> PermutationDiagram:
 def cotree_to_diagram(t) -> PermutationDiagram:
     """Standard diagram of a cograph: unions concatenate both lines, joins
     concatenate the top line and reverse the block order on the bottom line."""
-    from .cograph import LEAF, UNION
 
     def build(node):
         if node.label == LEAF:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, bits, connected_components, induced_subgraph, mask_from
-from .oracle import DominationCertificate
+from .oracle import DominationCertificate, enumerate_maximal_independent_sets, gamma_of_set
 from .treewidth import DEFAULT_WIDTH_CEILING, gamma_i_treewidth, heuristic_decomposition
 from .exactexp import gamma_of_independent_set_fast
 
@@ -125,8 +125,6 @@ def _optimal_sets(part, value, cap=_OPTIONS_PER_PIECE):
     gives gamma(m) <= |D| + |m & ~N[D]|; m is skipped unsolved when that
     bound is below value for some witness D found so far.
     """
-    from .oracle import enumerate_maximal_independent_sets, gamma_of_set
-
     found = []
     uncovered = []  # (~N[D], value - |D|) for every witness D below the optimum
     settled = 0

@@ -47,6 +47,7 @@ from operator import add, attrgetter, le, sub
 from .graph import (MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from,
                     mask_to_list, parse_ints, read_lines)
 from .oracle import DominationCertificate
+from .exactexp import gamma_of_independent_set_fast
 
 DEFAULT_WIDTH_CEILING = 12
 INF = float("inf")  # cost of an infeasible table entry
@@ -621,8 +622,6 @@ def gamma_i_treewidth(
     best_item = max(root_items, key=lambda it: it.table[0])
     best_value = best_item.table[0]
     a_mask = best_item.members
-    from .exactexp import gamma_of_independent_set_fast
-
     value, witness, _ = gamma_of_independent_set_fast(g, a_mask)
     if value != best_value:
         raise GraphError(

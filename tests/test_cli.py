@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import indom
-from indom import cli, cograph
+from indom import cograph, dispatch
 from indom.cli import main
 from indom.generators import cycle, gnp, grid, path, random_cograph
-from indom.graph import parse, serialize
+from indom.graph import Graph, parse, serialize
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -48,6 +49,25 @@ class TestGammaI:
         assert reports[0]["value"] == 1
         stats = reports[0]["stats"]
         assert 0 <= stats["sets_cut"] <= stats["sets_enumerated"]
+
+    @pytest.mark.parametrize("algo, reported, stats", [
+        ("auto", "cograph", None), ("cograph", "cograph", None), ("dh", "dh", "pendants"),
+        ("treewidth", "treewidth", "nice_nodes"), ("exact", "exact", "sets_enumerated")])
+    def test_empty_graph_names_the_solver_that_ran(self, tmp_path, capsys, algo, reported,
+                                                   stats):
+        target = write_graph(tmp_path, Graph(0))
+        code, reports = run(capsys, ["gamma-i", target, "--algo", algo, "--certify"])
+        assert code == 0
+        assert reports[0]["algorithm"] == reported and reports[0]["value"] == 0
+        assert reports[0]["verified"] is True
+        assert (stats in reports[0]["stats"]) if stats else "stats" not in reports[0]
+
+    def test_empty_graph_needs_a_diagram_for_the_permutation_solver(self, tmp_path, capsys):
+        target = write_graph(tmp_path, Graph(0))
+        code, reports = run(capsys, ["gamma-i", target, "--algo", "permutation"])
+        assert code == 2
+        assert reports == [{"error": "permutation solver needs --diagram "
+                                     "(recognition is out of scope)"}]
 
     def test_treewidth_reports_dp_stats(self, tmp_path, capsys):
         target = write_graph(tmp_path, grid(3, 4))
@@ -178,7 +198,7 @@ class TestGammaI:
             calls.append(g.n)
             return original(g)
 
-        monkeypatch.setattr(cli, "build_cotree", counted)
+        monkeypatch.setattr(dispatch, "build_cotree", counted)
         monkeypatch.setattr(cograph, "build_cotree", counted)
         code, reports = run(capsys, ["gamma-i", str(tmp_path / "g.txt")])
         assert code == 0 and reports[0]["algorithm"] == "cograph"
@@ -366,13 +386,13 @@ class TestVerifyCommand:
         assert reports[-1]["failures"] == 0
 
     def test_wrong_value_is_reported_with_its_instance(self, capsys, monkeypatch):
-        solve = cli.gamma_i_cograph
+        solve = dispatch.gamma_i_cograph
 
         def off_by_one(g, *rest):
             value, cert = solve(g, *rest)
             return value + 1, cert
 
-        monkeypatch.setattr(cli, "gamma_i_cograph", off_by_one)
+        monkeypatch.setattr(dispatch, "gamma_i_cograph", off_by_one)
         code, reports = run(capsys, ["verify", "--suite", "cograph", "--count", "3",
                                      "--size", "8", "--seed", "5"])
         assert code == 1
@@ -382,6 +402,22 @@ class TestVerifyCommand:
             made = random_cograph(report["n"], report["seed"])
             assert report["value"] == solve(made.graph)[0] + 1
             assert parse(report["instance"]) == made.graph
+
+    def test_gamma_i_and_verify_reach_the_solver_through_dispatch(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        solve = dispatch.gamma_i_dh
+
+        def off_by_one(g, *rest):
+            value, cert = solve(g, *rest)
+            return value + 1, cert
+
+        monkeypatch.setattr(dispatch, "gamma_i_dh", off_by_one)
+        target = write_graph(tmp_path, path(6))
+        code, reports = run(capsys, ["gamma-i", target, "--algo", "dh"])
+        assert code == 0 and reports[0]["value"] == solve(path(6))[0] + 1
+        code, reports = run(capsys, ["verify", "--suite", "dh", "--count", "2",
+                                     "--size", "8"])
+        assert code == 1 and reports[-1]["failures"] == 2
 
 
 class TestGen:
@@ -550,3 +586,16 @@ def test_sources_compile_with_warnings_as_errors():
         warnings.simplefilter("error")
         for source in sources:
             compile(source.read_text(encoding="utf-8"), str(source), "exec")
+
+
+def test_no_function_imports():
+    # every module imports at load time, so a traced or patched module
+    # attribute is the one each call reads
+    root = Path(__file__).resolve().parent.parent / "src" / "indom"
+    found = []
+    for source in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [(source.name, inner.lineno) for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []

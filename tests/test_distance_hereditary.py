@@ -14,6 +14,7 @@ from indom import (
 )
 from indom import distance_hereditary
 from indom.distance_hereditary import (
+    INF,
     JOIN,
     UNION,
     DHFailure,
@@ -28,7 +29,7 @@ from indom.distance_hereditary import (
     replay_sequence,
     serialize_sequence,
 )
-from indom.oracle import INF, DominationCertificate, gamma_i_oracle
+from indom.oracle import DominationCertificate, gamma_i_oracle
 from indom.cograph import ClassMismatchError
 from indom.generators import cycle, gnp, path, random_cograph, random_dh
 from tests.conftest import assert_rank_one, cover_of, subsets_of, twinset_of, valid_ops
@@ -643,6 +644,35 @@ class TestCarriedCertificates:
                     assert _items_reachable(it, item) == []
             # an item of the walked design refers to its children
             assert _items_reachable(_provenance_root_item(d), _ProvItem) != []
+
+
+    def test_leaves_made_at_their_parent_keep_value_certificate_and_stats(self,
+                                                                         monkeypatch):
+        def every_leaf_first(g, decomp, stats):
+            table = {}
+            for node in decomp.postorder():
+                if node.is_leaf:
+                    items = distance_hereditary._leaf_items(g, node)
+                else:
+                    items = distance_hereditary._combine_items(
+                        node, table.pop(id(node.left)), table.pop(id(node.right)))
+                table[id(node)] = items
+                stats.max_items = max(stats.max_items, len(items))
+            return table[id(decomp.root)]
+
+        def solve_all():
+            out = []
+            for n in range(1, 61):
+                for made in (random_dh(n, n), random_cograph(n, n)):
+                    stats = DHStats()
+                    out.append((gamma_i_dh(made.graph, None, stats), stats))
+            return out
+
+        # three of these graphs keep one item at every inner node and two at
+        # a leaf, so max_items must count the leaves
+        got = solve_all()
+        monkeypatch.setattr(distance_hereditary, "_value_items", every_leaf_first)
+        assert got == solve_all()
 
 
 class TestEdgeTables:
