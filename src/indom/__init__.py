@@ -77,6 +77,9 @@ from .treewidth import (
     DPStats,
     validate_decomposition,
     heuristic_decomposition,
+    path_decomposition,
+    planned_cost,
+    choose_decomposition,
     make_nice,
     gamma_i_treewidth,
     parse_decomposition,

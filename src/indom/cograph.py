@@ -147,9 +147,10 @@ def _extract_p4(g, mask):
 
 
 def build_cotree(g: Graph):
-    """Cotree of g, or a P4Witness when g is not a cograph."""
+    """Cotree of g, or a P4Witness when g is not a cograph. The empty graph's
+    cotree is a union of no components."""
     if g.n == 0:
-        raise GraphError("empty graph has no cotree")
+        return Cotree(CotreeNode(UNION), 0)
     root_holder = [None]
     stack = [(g.full_mask, root_holder, 0)]
     while stack:

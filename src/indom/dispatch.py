@@ -3,7 +3,7 @@ graphs (diagram given), bounded treewidth, then the exact exponential solver.
 
 Recognition runs here, not inside a solver: each class gets the artifact
 given for it or its recognizer's result. The empty graph belongs to every
-class, and each solver answers it without recognition.
+class: the recognizers accept it and each solver answers it with 0.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from .cograph import (ClassMismatchError, P4Witness, build_cotree, cotree_to_gra
 from .distance_hereditary import (DHFailure, DHStats, build_dh_decomposition, gamma_i_dh,
                                   recognize_dh)
 from .permutation import diagram_to_graph, gamma_i_permutation
-from .treewidth import (DEFAULT_WIDTH_CEILING, CapacityError, DPStats, gamma_i_treewidth,
-                        heuristic_decomposition, validate_decomposition)
+from .treewidth import (DEFAULT_WIDTH_CEILING, CapacityError, DPStats, choose_decomposition,
+                        gamma_i_treewidth, validate_decomposition)
 from .exactexp import DEFAULT_BETA, DEFAULT_CEILING, gamma_i_exact
 
 ALGORITHMS = ("auto", "cograph", "dh", "permutation", "treewidth", "exact")
@@ -42,7 +42,7 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
         if bad is not None:
             raise GraphError(f"invalid tree decomposition ({bad})")
     if algo in ("auto", "cograph"):
-        tree = cotree if cotree is not None or g.n == 0 else build_cotree(g)
+        tree = cotree if cotree is not None else build_cotree(g)
         if not isinstance(tree, P4Witness):
             value, cert = gamma_i_cograph(g, tree)
             extra = {"gamma": gamma_cograph(cotree)} if cotree is not None else {}
@@ -51,9 +51,9 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
             raise ClassMismatchError(f"not a cograph: induced path {tree.vertices}", witness=tree)
     if algo in ("auto", "dh"):
         stats = DHStats()
-        seq = recognize_dh(g, stats) if g.n else None
+        seq = recognize_dh(g, stats)
         if not isinstance(seq, DHFailure):
-            decomp = build_dh_decomposition(g, seq) if g.n else None
+            decomp = build_dh_decomposition(g, seq)
             value, cert = gamma_i_dh(g, decomp, stats)
             return "dh", value, cert, {"stats": stats.as_dict()}
         if algo == "dh":
@@ -67,7 +67,7 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
         raise GraphError("permutation solver needs --diagram (recognition is out of scope)")
     refused = None
     if algo in ("auto", "treewidth"):
-        decomposition = td if td is not None else heuristic_decomposition(g)
+        decomposition = td if td is not None else choose_decomposition(g, width_ceiling)
         stats = DPStats()
         try:
             value, cert = gamma_i_treewidth(g, decomposition, width_ceiling, stats)

@@ -101,11 +101,9 @@ def recognize_dh(g: Graph, stats: DHStats | None = None):
     makes it a false or a true twin. Removing a vertex changes the live rows
     of its live neighbours only, so only they become dirty. A key filed
     before such a removal contains the removed vertex, so it never equals a
-    current key.
+    current key. The empty graph's sequence is empty.
     """
     n = g.n
-    if n == 0:
-        raise GraphError("empty graph")
     rows = g.row
     alive = g.full_mask
     by_open = {}
@@ -251,9 +249,9 @@ def build_dh_decomposition(g: Graph, seq: PruningSequence) -> DHDecomposition:
     outside neighbourhood, and a child's twinset stays in its parent's
     exactly when its lowest member has a neighbour outside the parent's part.
     A sequence that fails a step or does not end at a single vertex raises
-    GraphError.
+    GraphError; the empty graph's empty sequence gives a tree of no nodes.
     """
-    if seq.n != g.n or g.n == 0:
+    if seq.n != g.n:
         raise GraphError(f"sequence for n={seq.n} does not match graph n={g.n}")
     nodes = [DHNode(v, 1 << v, 1 << v if g.row[v] else 0) for v in range(g.n)]
     top = nodes[:]  # the part each live vertex stands for

@@ -211,6 +211,103 @@ def heuristic_decomposition(g: Graph, order: str = "fill") -> TreeDecomposition:
     return TreeDecomposition(n, bags, edges)
 
 
+def path_decomposition(g: Graph, max_width: int | None = None) -> TreeDecomposition | None:
+    """Path decomposition from a greedy vertex-separation order, or None once
+    a bag would hold more than max_width + 1 vertices.
+
+    Vertices are placed one at a time. The frontier holds the placed vertices
+    with a neighbor still unplaced, and each step's bag is the frontier plus
+    the vertex it places. The next vertex is a neighbor of the frontier that
+    grows it least, then the one with the most neighbors in it, then the one
+    with the fewest unplaced neighbors, then the least id; a component is
+    entered at its vertex of least degree, then least id."""
+    rows = g.row
+    unplaced = g.full_mask
+    frontier = 0
+    bags = []
+    while unplaced:
+        if max_width is not None and frontier.bit_count() > max_width:
+            return None
+        # closes[m]: how many frontier vertices have m as their one unplaced neighbor
+        closes = {}
+        candidates = 0
+        for u in bits(frontier):
+            rest = rows[u] & unplaced
+            candidates |= rest
+            if not rest & (rest - 1):
+                closes[rest] = closes.get(rest, 0) + 1
+
+        def growth(v):
+            rest = rows[v] & unplaced
+            return ((rest != 0) - closes.get(1 << v, 0), -(rows[v] & frontier).bit_count(),
+                    rest.bit_count(), v)
+
+        if candidates:
+            v = min(bits(candidates), key=growth)
+        else:
+            v = min(bits(unplaced), key=lambda u: (rows[u].bit_count(), u))
+        vb = 1 << v
+        bags.append(frontier | vb)
+        unplaced &= ~vb
+        frontier |= vb
+        for u in bits(frontier & (rows[v] | vb)):
+            if not rows[u] & unplaced:
+                frontier &= ~(1 << u)
+    return TreeDecomposition(g.n, bags, [(i, i + 1) for i in range(len(bags) - 1)])
+
+
+def planned_cost(td: TreeDecomposition) -> int:
+    """Planned work of the bag DP on td: 6^s for each node of td's nice form
+    whose bag holds s vertices, and 8^s more for each join node.
+
+    Counted from td without building the nice form: make_nice roots td at
+    bag 0, starts each leaf bag from an empty leaf, forgets and then
+    introduces one vertex per node along each bag edge, joins a bag's k
+    children with k - 1 join nodes and forgets the root bag down to empty."""
+
+    def chain(lo, hi):
+        """One nice node for each bag size lo..hi."""
+        return (6 ** (hi + 1) - 6 ** lo) // 5
+
+    if not td.bags:
+        return 1
+    size = [b.bit_count() for b in td.bags]
+    adj = td.neighbors()
+    total = chain(0, size[0] - 1)
+    seen = {0}
+    stack = [0]
+    while stack:
+        b = stack.pop()
+        children = [c for c in adj[b] if c not in seen]
+        seen.update(children)
+        stack += children
+        if not children:
+            total += chain(0, size[b])
+        elif len(children) > 1:
+            total += (len(children) - 1) * (6 ** size[b] + 8 ** size[b])
+        for c in children:
+            shared = (td.bags[b] & td.bags[c]).bit_count()
+            total += chain(shared, size[c] - 1) + chain(shared + 1, size[b])
+    return total
+
+
+def choose_decomposition(g: Graph, width_ceiling: int = DEFAULT_WIDTH_CEILING):
+    """Min-fill's decomposition or a path decomposition, whichever has the
+    lower planned_cost, checked with validate_decomposition.
+
+    A path decomposition wider than the ceiling is not built, so one within
+    it replaces a wider min-fill regardless of cost, and with none within it
+    min-fill is returned for the solver to refuse. Ties keep min-fill."""
+    best = heuristic_decomposition(g)
+    path = path_decomposition(g, width_ceiling)
+    if path is not None and (best.width > width_ceiling or planned_cost(path) < planned_cost(best)):
+        best = path
+    bad = validate_decomposition(g, best)
+    if bad is not None:
+        raise GraphError(f"internal error: built an invalid tree decomposition ({bad})")
+    return best
+
+
 # --- nice form ---------------------------------------------------------------
 
 LEAF = "leaf"
@@ -604,28 +701,33 @@ def gamma_i_treewidth(
 ):
     """Independence-domination number via a tree decomposition.
 
-    The decomposition defaults to the min-fill heuristic; widths above the
+    Without a decomposition, choose_decomposition picks and checks one. A
+    given td is used as it is, unchecked: check one from outside with
+    validate_decomposition first, as dispatch.gamma_i does. Widths above the
     ceiling are rejected rather than attempted. A given ``stats`` is filled
     with the size of the DP.
+
+    The DP prices its independent set A; a search that stops at the first
+    dominating set of A with at most that many vertices names the witness.
+    It raises when the set found is smaller than the value (the DP was too
+    high) and when the search finds none and ends above it (too low).
     """
     if g.n == 0:
         return 0, DominationCertificate(0, 0, 0)
     if td is None:
-        td = heuristic_decomposition(g)
+        td = choose_decomposition(g, width_ceiling)
     if td.width > width_ceiling:
         raise CapacityError(f"decomposition width {td.width} exceeds ceiling {width_ceiling}")
-    bad = validate_decomposition(g, td)
-    if bad is not None:
-        raise GraphError(f"invalid tree decomposition ({bad})")
     for _, root_items in _dp_nodes(g, make_nice(td), stats):
         pass  # only the root's items are needed
     best_item = max(root_items, key=lambda it: it.table[0])
     best_value = best_item.table[0]
     a_mask = best_item.members
-    value, witness, _ = gamma_of_independent_set_fast(g, a_mask)
-    if value != best_value:
+    found, witness, _ = gamma_of_independent_set_fast(g, a_mask, cutoff=best_value)
+    if found != best_value:
         raise GraphError(
-            f"internal error: DP value {best_value} but witness set needs {value}"
+            f"internal error: DP value {best_value}, but the witness search found a "
+            f"dominating set of {found} vertices for its independent set"
         )
     return best_value, DominationCertificate(a_mask, witness, best_value)
 

@@ -43,6 +43,13 @@ class TestBuildCotree:
             parts.append(sorted(leaf.vertex for leaf in child.children))
         assert sorted(parts) == [[0, 2], [1, 3]]
 
+    def test_empty_graph_is_a_union_of_nothing(self):
+        t = build_cotree(Graph(0))
+        assert (t.n, t.root.label, t.root.children) == (0, UNION, [])
+        assert cotree_to_graph(t) == Graph(0)
+        assert gamma_cograph(t) == 0
+        assert gamma_i_cograph(Graph(0), t)[0] == 0
+
     def test_p4_witness(self):
         result = build_cotree(path(4))
         assert isinstance(result, P4Witness)

@@ -3,7 +3,7 @@ artifacts' checks, the empty graph and an oracle cross-check per class."""
 
 import pytest
 
-from indom import Graph, GraphError, treewidth, verify_certificate
+from indom import Graph, GraphError, dispatch, treewidth, verify_certificate
 from indom.cograph import ClassMismatchError, P4Witness, build_cotree
 from indom.dispatch import ALGORITHMS, gamma_i
 from indom.distance_hereditary import DHFailure
@@ -11,7 +11,8 @@ from indom.generators import (cycle, gnp, grid, path, random_chordal, random_cog
                               random_permutation)
 from indom.oracle import gamma_i_oracle
 from indom.permutation import PermutationDiagram
-from indom.treewidth import CapacityError, TreeDecomposition, heuristic_decomposition
+from indom.treewidth import (CapacityError, TreeDecomposition, choose_decomposition,
+                             heuristic_decomposition)
 
 
 class TestRefusals:
@@ -92,6 +93,27 @@ class TestAnswers:
         td = heuristic_decomposition(g, "degree")
         algorithm, value, cert, extra = gamma_i(g, "treewidth", td=td)
         assert extra["width"] == td.width and value == gamma_i_oracle(g)[0]
+
+    def test_a_decomposition_is_validated_once(self, monkeypatch):
+        g = grid(3, 4)
+        given, chosen = heuristic_decomposition(g, "degree"), choose_decomposition(g)
+        calls = []
+        original = treewidth.validate_decomposition
+
+        def counted(graph, td):
+            calls.append(td)
+            return original(graph, td)
+
+        monkeypatch.setattr(dispatch, "validate_decomposition", counted)
+        monkeypatch.setattr(treewidth, "validate_decomposition", counted)
+        expected = gamma_i_oracle(g)[0]
+        # a given one among the side files; none in the solver
+        assert gamma_i(g, "treewidth", td=given)[1] == expected
+        assert calls == [given]
+        # without one, the chosen candidate's own check
+        calls.clear()
+        assert gamma_i(g, "treewidth")[1] == expected
+        assert calls == [chosen]
 
     def test_empty_graph_follows_the_ladder(self):
         g = Graph(0)

@@ -43,6 +43,15 @@ class TestRecognition:
             assert isinstance(seq, PruningSequence)
             assert replay_sequence(seq) == made.graph
 
+    def test_empty_graph(self):
+        stats = DHStats()
+        seq = recognize_dh(Graph(0), stats)
+        assert seq == PruningSequence((), 0) and replay_sequence(seq) == Graph(0)
+        assert stats == DHStats()
+        decomp = build_dh_decomposition(Graph(0), seq)
+        assert decomp.nodes == () and decomp.n == 0
+        assert gamma_i_dh(Graph(0), decomp, stats)[0] == 0
+
     def test_c5_rejected(self):
         result = recognize_dh(cycle(5))
         assert isinstance(result, DHFailure)

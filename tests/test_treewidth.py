@@ -6,6 +6,7 @@ import pytest
 from indom import (
     FormatError,
     Graph,
+    GraphError,
     build_graph,
     bits,
     is_independent,
@@ -19,18 +20,24 @@ from indom.treewidth import (
     NiceDecomposition,
     TreeDecomposition,
     Violation,
+    choose_decomposition,
     gamma_i_treewidth,
     heuristic_decomposition,
     make_nice,
     parse_decomposition,
+    path_decomposition,
+    planned_cost,
     serialize_decomposition,
     validate_decomposition,
     _Item,
     _dp_nodes,
 )
+from indom.dispatch import gamma_i
+from indom.graph import connected_components
 from indom.oracle import gamma_i_oracle
 from indom.generators import cycle, gnp, grid, path, random_chordal, star
-from tests.conftest import cover_of, subsets_of
+from indom.planar import ptas_gamma_i
+from tests.conftest import cover_of, random_outerplanar, subsets_of
 
 
 class TestValidate:
@@ -328,6 +335,153 @@ class TestGammaITreewidth:
         assert gamma_i_treewidth(g)[0] == 3 == gamma_i_oracle(g)[0]
 
 
+def _union(*graphs):
+    """Disjoint union, the vertices of each graph numbered after the last's."""
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges()]
+        n += h.n
+    return Graph(n, edges)
+
+
+def _small_corpus():
+    """Chordal, outerplanar and gnp graphs on at most 16 vertices, sparse
+    enough that many are disconnected or have isolated vertices."""
+    graphs = []
+    for seed in range(40):
+        n = 1 + seed % 16
+        graphs.append(random_chordal(n, seed, clique_bias=0.3 + (seed % 3) * 0.25))
+        graphs.append(random_outerplanar(max(n, 3), seed))
+        graphs.append(gnp(n, 0.08 + (seed % 5) * 0.07, seed))
+    for seed in range(15):
+        graphs.append(_union(random_outerplanar(3 + seed % 5, seed), gnp(1 + seed % 5, 0.3, seed),
+                             random_chordal(1 + seed % 4, seed)))
+    return graphs
+
+
+def _nice_form_cost(td):
+    """planned_cost counted on the nice form itself."""
+    return sum(6 ** node.bag.bit_count() + (8 ** node.bag.bit_count() if node.kind == "join" else 0)
+               for node in make_nice(td).nodes)
+
+
+class TestChosenDecomposition:
+    def test_both_candidates_match_the_oracle(self):
+        graphs = _small_corpus()
+        disconnected = isolated = path_chosen = 0
+        for g in graphs:
+            expected = gamma_i_oracle(g)[0]
+            fill, path_td = heuristic_decomposition(g), path_decomposition(g)
+            assert validate_decomposition(g, path_td) is None
+            assert path_td.edges == [(i, i + 1) for i in range(len(path_td.bags) - 1)]
+            for td in (fill, path_td):
+                assert gamma_i_treewidth(g, td)[0] == expected
+            value, cert = gamma_i_treewidth(g)
+            assert value == expected and verify_certificate(g, cert) and cert.value == value
+            chosen = choose_decomposition(g)
+            assert chosen in (fill, path_td)
+            path_chosen += chosen == path_td != fill
+            disconnected += len(connected_components(g)) > 1
+            isolated += 0 in g.row
+        # the corpus reaches what it is meant to cover
+        assert min(disconnected, isolated, path_chosen) >= 10
+
+    def test_planned_cost_counts_the_nice_form(self):
+        graphs = _small_corpus() + [grid(4, 6), Graph(0), star(7)]
+        for g in graphs:
+            for td in (heuristic_decomposition(g), heuristic_decomposition(g, "degree"),
+                       path_decomposition(g)):
+                assert planned_cost(td) == _nice_form_cost(td)
+        # joins, a bag inside its neighbor, and an empty list of bags
+        td = TreeDecomposition(5, [0b00011, 0b00111, 0b01001, 0b10001, 0b00001],
+                               [(0, 1), (0, 2), (0, 3), (3, 4)])
+        assert planned_cost(td) == _nice_form_cost(td)
+        td = TreeDecomposition(0, [], [])
+        assert planned_cost(td) == _nice_form_cost(td) == 1
+
+    def test_path_decomposition_stops_above_max_width(self):
+        g = grid(4, 6)
+        assert path_decomposition(g).width == 4
+        assert path_decomposition(g, 4) == path_decomposition(g)
+        assert path_decomposition(g, 3) is None
+        assert path_decomposition(Graph(0)).bags == []
+
+    def test_cheaper_candidate_is_chosen(self):
+        g = grid(4, 6)
+        fill, path_td = heuristic_decomposition(g), path_decomposition(g)
+        assert planned_cost(path_td) < planned_cost(fill)
+        assert choose_decomposition(g) == path_td
+        g = random_chordal(30, 2)
+        fill, path_td = heuristic_decomposition(g), path_decomposition(g)
+        assert planned_cost(fill) < planned_cost(path_td)
+        assert choose_decomposition(g) == fill
+
+    def test_ties_keep_min_fill(self, monkeypatch):
+        monkeypatch.setattr(treewidth, "planned_cost", lambda td: 0)
+        g = grid(4, 6)
+        assert choose_decomposition(g) == heuristic_decomposition(g)
+
+    def test_a_candidate_within_the_ceiling_wins(self, monkeypatch):
+        g = grid(6, 10)  # min-fill width 7, path decomposition width 6
+        fill, path_td = heuristic_decomposition(g), path_decomposition(g)
+        assert (fill.width, path_td.width) == (7, 6)
+        # even when the wider candidate is planned cheaper
+        monkeypatch.setattr(treewidth, "planned_cost", lambda td: -td.width)
+        assert choose_decomposition(g, width_ceiling=6) == path_td
+        assert choose_decomposition(g, width_ceiling=7) == fill
+        # with none within it, min-fill is refused as before
+        assert choose_decomposition(g, width_ceiling=5) == fill
+        with pytest.raises(CapacityError, match="width 7 exceeds ceiling 5"):
+            gamma_i_treewidth(g, width_ceiling=5)
+
+    def test_a_bad_dp_value_fails_the_witness_search(self, monkeypatch):
+        original = treewidth._dp_nodes
+
+        def shifted(by):
+            def nodes(g, nd, stats=None):
+                for idx, items in original(g, nd, stats):
+                    if idx == nd.root:
+                        items = [_Item(it.alpha, [c + by for c in it.table], it.members)
+                                 for it in items]
+                    yield idx, items
+            return nodes
+
+        g = star(6)  # value 1: the center dominates every leaf
+        monkeypatch.setattr(treewidth, "_dp_nodes", shifted(1))
+        with pytest.raises(GraphError, match="DP value 2, .* dominating set of 1 vertices"):
+            gamma_i_treewidth(g)
+        monkeypatch.setattr(treewidth, "_dp_nodes", shifted(-1))
+        with pytest.raises(GraphError, match="DP value 0, .* dominating set of 1 vertices"):
+            gamma_i_treewidth(g)
+
+
+class TestNewlyAnswered:
+    """Grids min-fill cannot afford, answered on a path decomposition."""
+
+    def test_six_row_grids(self):
+        for rows, cols, expected in [(6, 10, 13), (6, 14, 18)]:
+            g = grid(rows, cols)
+            assert heuristic_decomposition(g).width == 7
+            algorithm, value, cert, extra = gamma_i(g)
+            assert (algorithm, value, extra["width"]) == ("treewidth", expected, 6)
+            assert verify_certificate(g, cert)
+            # the PTAS's guarantee at k = 3 brackets the exact value
+            approx = ptas_gamma_i(g, 1 / 3)
+            assert approx.k == 3 and (1 - 1 / 3) * value <= approx.value <= value
+        g = grid(6, 10)
+        with pytest.raises(CapacityError, match="needs 4959744 table entries"):
+            gamma_i_treewidth(g, heuristic_decomposition(g))
+
+    def test_five_by_twenty_needs_smaller_tables(self):
+        g = grid(5, 20)
+        fill_stats = DPStats()
+        assert gamma_i_treewidth(g, heuristic_decomposition(g), stats=fill_stats)[0] == 21
+        assert fill_stats.max_entries == 83_520
+        algorithm, value, cert, extra = gamma_i(g)
+        assert (algorithm, value) == ("treewidth", 21)
+        assert extra["stats"]["max_entries"] < 83_520
+
+
 def _subtree_vertices(nd):
     verts = [0] * len(nd.nodes)
     for idx, node in enumerate(nd.nodes):
@@ -523,13 +677,13 @@ class TestDenseTables:
 
     def test_budget_refused_before_allocation(self, monkeypatch):
         g = grid(4, 6)
-        nd = make_nice(heuristic_decomposition(g))
+        td = heuristic_decomposition(g)
         stats = DPStats()
-        for _ in _dp_nodes(g, nd, stats):
+        for _ in _dp_nodes(g, make_nice(td), stats):
             pass
         monkeypatch.setattr(treewidth, "TABLE_BUDGET", stats.max_entries - 1)
         with pytest.raises(CapacityError, match="budget"):
-            gamma_i_treewidth(g)
+            gamma_i_treewidth(g, td)
 
 
 def _items_reachable(obj):
