@@ -56,7 +56,7 @@ from .treewidth import (
     DEFAULT_WIDTH_CEILING,
     parse_decomposition,
 )
-from .exactexp import DEFAULT_BETA, DEFAULT_CEILING, gamma_i_exact
+from .exactexp import DEFAULT_BETA, DEFAULT_CEILING
 from .planar import ptas_gamma_i
 from .dispatch import ALGORITHMS, gamma_i
 
@@ -197,12 +197,6 @@ def cmd_oracle(args):
         report["verified"] = dominates(g, witness, targets)
     _emit(report)
     return 0 if report.get("verified", True) else 1
-
-
-def cmd_exact(args):
-    g = _load_graph(args)
-    value, cert, stats = gamma_i_exact(g, beta=args.beta, ceiling=args.exact_ceiling)
-    return _report(args, g, "exact", value, cert, {"stats": stats.as_dict()})
 
 
 def cmd_ptas(args):
@@ -378,7 +372,9 @@ def build_parser():
     p = sub.add_parser("exact", help="exponential-time exact solver")
     add_common(p)
     add_exact_flags(p)
-    p.set_defaults(func=cmd_exact)
+    # gamma-i forced onto the exact solver, with no side files
+    p.set_defaults(func=cmd_gamma_i, algo="exact", cotree=None, diagram=None, td=None,
+                   width_ceiling=DEFAULT_WIDTH_CEILING)
 
     p = sub.add_parser("ptas", help="shifting scheme for planar inputs")
     add_common(p)

@@ -241,8 +241,6 @@ def gamma_i_cograph(g: Graph, cotree: Cotree | None = None) -> tuple[int, Domina
     certificate takes, per component, the lexicographically least maximal
     independent set together with one vertex adjacent to all of it.
     """
-    if g.n == 0:
-        return 0, DominationCertificate(0, 0, 0)
     if cotree is None:
         cotree = build_cotree(g)
         if isinstance(cotree, P4Witness):

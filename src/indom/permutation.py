@@ -77,8 +77,6 @@ def gamma_i_permutation(d: PermutationDiagram) -> tuple[int, DominationCertifica
     is O(n log n) mask steps plus the chain lengths skipped.
     """
     n = d.n
-    if n == 0:
-        return 0, DominationCertificate(0, 0, 0)
     at = sorted(range(n), key=d.top.__getitem__)  # vertex at each top position
     bot = [d.bot[v] for v in at]
     reach = list(itertools.accumulate(bot, max))  # largest bottom end up to p

@@ -117,9 +117,10 @@ def _outside_cover(g, witness):
     return ~cover
 
 
-def _optimal_sets(part, value, cap=_OPTIONS_PER_PIECE):
-    """Up to cap maximal independent sets of the piece achieving its optimum,
-    in enumeration order, and how many sets the counting test skipped.
+def _optimal_sets(part, value):
+    """Up to _OPTIONS_PER_PIECE maximal independent sets of the piece that
+    achieve its optimum, in enumeration order, and how many sets the
+    counting test skipped.
 
     Each member of a set m outside N[D] can dominate itself, so a witness D
     gives gamma(m) <= |D| + |m & ~N[D]|; m is skipped unsolved when that
@@ -137,7 +138,7 @@ def _optimal_sets(part, value, cap=_OPTIONS_PER_PIECE):
             uncovered.append((_outside_cover(part, witness), value - size))
         else:
             found.append(m)
-            if len(found) >= cap:
+            if len(found) >= _OPTIONS_PER_PIECE:
                 break
     return found, settled
 
@@ -167,8 +168,6 @@ def ptas_gamma_i(
         raise GraphError(f"root {root} is not a vertex in 0..{g.n - 1}")
     k = math.ceil(1 / epsilon)
     result = PtasResult(0, DominationCertificate(0, 0, 0), k)
-    if g.n == 0:
-        return result
     a_total = 0
     d_total = 0
     total = 0

@@ -38,7 +38,6 @@ node's tables can be dropped as soon as its parent is built.
 from __future__ import annotations
 
 import heapq
-import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import groupby
@@ -90,6 +89,33 @@ class TreeDecomposition:
         return adj
 
 
+def _postorder(td: TreeDecomposition):
+    """(bag, parent, children) for every bag that bag 0 reaches, rooted at
+    bag 0 (parent None): each bag after its subtree, children in td.edges
+    order, each child's subtree before the next's. A bag is reached once
+    however often td.edges lists its edges. A loop, not recursion: a path
+    decomposition is as deep as it has bags."""
+    if not td.bags:
+        return []
+    adj = td.neighbors()
+    seen = [False] * len(td.bags)
+    seen[0] = True
+    walk = []
+    stack = [(0, None)]
+    while stack:
+        b, parent = stack.pop()
+        children = []
+        for c in adj[b]:
+            if not seen[c]:
+                seen[c] = True
+                children.append(c)
+        walk.append((b, parent, children))
+        # the last child is walked first, so the reversed walk puts them in order
+        stack += [(c, b) for c in children]
+    walk.reverse()
+    return walk
+
+
 def validate_decomposition(g: Graph, td: TreeDecomposition):
     """None when valid, otherwise a Violation naming the failing vertex/edge."""
     union = 0
@@ -117,20 +143,8 @@ def validate_decomposition(g: Graph, td: TreeDecomposition):
     for a, b in td.edges:
         if not (0 <= a < len(td.bags) and 0 <= b < len(td.bags)):
             return Violation("tree", f"bag edge ({a}, {b}) out of range")
-    if td.bags:
-        adj = td.neighbors()
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in adj[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        if len(seen) != len(td.bags):
-            return Violation("tree", "bag graph is disconnected")
+    if len(_postorder(td)) != len(td.bags):
+        return Violation("tree", "bag graph is disconnected")
     # in a tree the bags holding v induce a forest with (holders - shared
     # edges) components, so they are connected iff that count is 1
     for a, b in td.edges:
@@ -151,8 +165,6 @@ def heuristic_decomposition(g: Graph, order: str = "fill") -> TreeDecomposition:
     into a clique: their scores are recomputed, and each fill edge x-y lowers
     the fill score of every other common neighbor of x and y by one."""
     n = g.n
-    if n == 0:
-        return TreeDecomposition(0, [0], [])
     rows = list(g.row)
     alive = g.full_mask
 
@@ -260,34 +272,27 @@ def planned_cost(td: TreeDecomposition) -> int:
     """Planned work of the bag DP on td: 6^s for each node of td's nice form
     whose bag holds s vertices, and 8^s more for each join node.
 
-    Counted from td without building the nice form: make_nice roots td at
-    bag 0, starts each leaf bag from an empty leaf, forgets and then
-    introduces one vertex per node along each bag edge, joins a bag's k
-    children with k - 1 join nodes and forgets the root bag down to empty."""
+    Counted bag by bag as make_nice makes them, without building any node:
+    a leaf bag's chain up from an empty leaf or a bag's k - 1 joins, then its
+    move into its parent's bag, or the empty bag at the root."""
 
     def chain(lo, hi):
         """One nice node for each bag size lo..hi."""
         return (6 ** (hi + 1) - 6 ** lo) // 5
 
     if not td.bags:
-        return 1
-    size = [b.bit_count() for b in td.bags]
-    adj = td.neighbors()
-    total = chain(0, size[0] - 1)
-    seen = {0}
-    stack = [0]
-    while stack:
-        b = stack.pop()
-        children = [c for c in adj[b] if c not in seen]
-        seen.update(children)
-        stack += children
-        if not children:
-            total += chain(0, size[b])
-        elif len(children) > 1:
-            total += (len(children) - 1) * (6 ** size[b] + 8 ** size[b])
-        for c in children:
-            shared = (td.bags[b] & td.bags[c]).bit_count()
-            total += chain(shared, size[c] - 1) + chain(shared + 1, size[b])
+        return 1  # make_nice's one empty leaf
+    total = 0
+    for b, parent, children in _postorder(td):
+        bag = td.bags[b]
+        size = bag.bit_count()
+        if children:
+            total += (len(children) - 1) * (6 ** size + 8 ** size)
+        else:
+            total += chain(0, size)
+        target = 0 if parent is None else td.bags[parent]
+        shared = (bag & target).bit_count()
+        total += chain(shared, size - 1) + chain(shared + 1, target.bit_count())
     return total
 
 
@@ -339,27 +344,25 @@ class NiceDecomposition:
 
 
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
-    """Nice form: leaf/introduce/forget/join nodes, empty root bag."""
+    """Nice form: leaf/introduce/forget/join nodes, empty root bag. Raises
+    GraphError when bag 0 does not reach every bag.
+
+    Per bag of _postorder: a leaf bag's introduce chain from an empty leaf,
+    or joins of the branches its children moved into it; then its move into
+    its parent's bag (the root's is empty), one vertex forgotten or
+    introduced per node."""
     nodes: list[NiceNode] = []
 
     def emit(kind, bag, children=(), vertex=None):
         nodes.append(NiceNode(kind, bag, tuple(children), vertex))
         return len(nodes) - 1
 
-    def chain_from_empty(bag):
-        nid = emit(LEAF, 0)
-        current = 0
-        for v in sorted(bits(bag)):
-            current |= 1 << v
-            nid = emit(INTRODUCE, current, (nid,), v)
-        return nid
-
-    def morph(nid, src, dst):
+    def move(nid, src, dst):
         current = src
-        for v in sorted(bits(src & ~dst)):
+        for v in bits(src & ~dst):
             current &= ~(1 << v)
             nid = emit(FORGET, current, (nid,), v)
-        for v in sorted(bits(dst & ~current)):
+        for v in bits(dst & ~current):
             current |= 1 << v
             nid = emit(INTRODUCE, current, (nid,), v)
         return nid
@@ -367,29 +370,20 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     if not td.bags:
         emit(LEAF, 0)
         return NiceDecomposition(td.n, nodes)
-
-    adj = td.neighbors()
-
-    def build(b, parent):
-        children = [c for c in adj[b] if c != parent]
-        if not children:
-            return chain_from_empty(td.bags[b])
-        branches = []
-        for c in children:
-            sub = build(c, b)
-            branches.append(morph(sub, td.bags[c], td.bags[b]))
-        nid = branches[0]
-        for other in branches[1:]:
-            nid = emit(JOIN, td.bags[b], (nid, other))
-        return nid
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(td.bags) + 100))
-    try:
-        top = build(0, None)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    morph(top, td.bags[0], 0)
+    walk = _postorder(td)
+    if len(walk) != len(td.bags):
+        raise GraphError(f"bag graph is disconnected: bag 0 reaches {len(walk)} of "
+                         f"{len(td.bags)} bags")
+    top = [0] * len(td.bags)  # each bag's last node, in its parent's bag
+    for b, parent, children in walk:
+        bag = td.bags[b]
+        if children:
+            nid = top[children[0]]
+            for c in children[1:]:
+                nid = emit(JOIN, bag, (nid, top[c]))
+        else:
+            nid = move(emit(LEAF, 0), 0, bag)
+        top[b] = move(nid, bag, 0 if parent is None else td.bags[parent])
     return NiceDecomposition(td.n, nodes)
 
 

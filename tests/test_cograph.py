@@ -22,7 +22,7 @@ from indom.cograph import (
     serialize_cotree,
     validate_cotree,
 )
-from indom.oracle import gamma
+from indom.oracle import DominationCertificate, gamma
 from indom.generators import cycle, gnp, path, random_cograph, random_cotree, random_dh
 from indom.graph import FormatError, connected_components
 
@@ -49,6 +49,8 @@ class TestBuildCotree:
         assert cotree_to_graph(t) == Graph(0)
         assert gamma_cograph(t) == 0
         assert gamma_i_cograph(Graph(0), t)[0] == 0
+        # recognized here, without a cotree
+        assert gamma_i_cograph(Graph(0)) == (0, DominationCertificate(0, 0, 0))
 
     def test_p4_witness(self):
         result = build_cotree(path(4))

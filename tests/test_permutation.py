@@ -55,8 +55,10 @@ class TestDiagramToGraph:
 
 class TestGammaIPermutation:
     def test_edgeless(self):
-        value, cert = gamma_i_permutation(identity_diagram(6))
-        assert value == 6
+        for n in (6, 0):
+            every = (1 << n) - 1
+            assert gamma_i_permutation(identity_diagram(n)) == (
+                n, DominationCertificate(every, every, n))
 
     def test_oracle_equivalence(self):
         for seed in range(120):

@@ -190,6 +190,11 @@ class TestPtas:
         out += [(f"outer{s}", random_outerplanar(5 + s % 10, s)) for s in range(100, 140)]
         return out
 
+    def test_empty_graph(self):
+        res = ptas_gamma_i(Graph(0), 0.5)
+        assert (res.value, res.k, res.shifts, res.piece_values) == (0, 2, [], {})
+        assert verify_certificate(Graph(0), res.certificate)
+
     def test_guarantee_and_upper_bound(self):
         for name, g in self.corpus():
             oracle = gamma_i_oracle(g)[0]

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 
 import pytest
 
@@ -271,6 +272,33 @@ class TestNiceForm:
             back = nice_to_decomposition(nd)
             assert validate_decomposition(g, back) is None
 
+    def test_deep_path_leaves_the_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"recursion limit set to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 20_001
+        td = TreeDecomposition(n, [0b11 << i for i in range(n - 1)],
+                               [(i, i + 1) for i in range(n - 2)])
+        assert len(td.bags) == 20_000 and validate_decomposition(path(n), td) is None
+        nd = make_nice(td)
+        # the far leaf's chain of 3, a forget and an introduce per bag edge,
+        # and 2 forgets at the root
+        assert len(nd.nodes) == 3 + 2 * (n - 2) + 2
+        assert planned_cost(td) == _nice_form_cost(td)
+
+    def test_bags_that_bag_zero_does_not_reach_are_refused(self):
+        bags = [0b011, 0b110, 0b100]
+        for edges in ([(0, 1)], [(0, 1), (1, 0)], [(0, 1), (1, 1)]):
+            with pytest.raises(GraphError, match="bag 0 reaches 2 of 3 bags"):
+                make_nice(TreeDecomposition(3, bags, edges))
+
+    def test_an_edge_listed_twice_is_walked_once(self):
+        td = TreeDecomposition(4, [0b0011, 0b0110, 0b1100], [(0, 1), (1, 2)])
+        twice = TreeDecomposition(4, td.bags, td.edges + [(2, 1)])
+        assert make_nice(twice) == make_nice(td)
+        assert planned_cost(twice) == planned_cost(td)
+
 
 A_WHITE = "in-A-white"
 A_GRAY = "in-A-gray"
@@ -405,6 +433,7 @@ class TestChosenDecomposition:
         assert path_decomposition(g, 4) == path_decomposition(g)
         assert path_decomposition(g, 3) is None
         assert path_decomposition(Graph(0)).bags == []
+        assert heuristic_decomposition(Graph(0)) == path_decomposition(Graph(0))
 
     def test_cheaper_candidate_is_chosen(self):
         g = grid(4, 6)
