@@ -43,6 +43,17 @@ class Cotree:
     root: CotreeNode
     n: int
 
+    def postorder(self):
+        """Every node, each after all of its children."""
+        order = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node.children)
+        order.reverse()
+        return order
+
 
 @dataclass(frozen=True)
 class P4Witness:
@@ -57,17 +68,6 @@ class ClassMismatchError(GraphError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-def _postorder(root):
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    order.reverse()
-    return order
 
 
 def _split(g, mask):
@@ -176,7 +176,7 @@ def cotree_to_graph(t: Cotree) -> Graph:
     """Reconstruct adjacency from the cotree."""
     edges = []
     leaves = {}
-    for node in _postorder(t.root):
+    for node in t.postorder():
         if node.label == LEAF:
             leaves[id(node)] = [node.vertex]
             continue
@@ -196,7 +196,9 @@ def cotree_to_graph(t: Cotree) -> Graph:
 
 
 def validate_cotree(t: Cotree) -> None:
-    """Check arity and label alternation along root-to-leaf paths."""
+    """Check arity and label alternation along root-to-leaf paths. The one
+    internal node allowed fewer than two children is the empty graph's root,
+    a union of no components."""
     stack = [(t.root, None)]
     seen = []
     while stack:
@@ -204,7 +206,8 @@ def validate_cotree(t: Cotree) -> None:
         if node.label == LEAF:
             seen.append(node.vertex)
             continue
-        if len(node.children) < 2:
+        empty_root = t.n == 0 and node is t.root and node.label == UNION
+        if len(node.children) < 2 and not empty_root:
             raise GraphError("internal cotree node with fewer than 2 children")
         if node.label == parent_label:
             raise GraphError("cotree labels do not alternate")
@@ -221,7 +224,7 @@ def gamma_cograph(t: Cotree) -> int:
     part has one, and by a cross pair otherwise.
     """
     values = {}
-    for node in _postorder(t.root):
+    for node in t.postorder():
         if node.label == LEAF:
             values[id(node)] = 1
         else:

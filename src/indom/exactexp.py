@@ -208,48 +208,18 @@ def _gamma_of_set(g, m, committed, rows, stats, cutoff):
             stats.sets_cut += 1
             return count, witness
 
-    best = [None, None]  # value, witness
-
-    def leaf_value(rem, avail, count, chosen):
-        stats.matching_calls += 1
-        members = list(bits(rem))
-        index = {v: i for i, v in enumerate(members)}
-        pair_witness = {}
-        h_edges = []
-        for x in bits(avail):
-            covered = [index[v] for v in bits(g.row[x] & rem)]
-            for a, b in itertools.combinations(sorted(covered), 2):
-                if (a, b) not in pair_witness:
-                    pair_witness[(a, b)] = x
-                    h_edges.append((a, b))
-        h = Graph(len(members), h_edges)
-        matching = maximum_matching_general(h)
-        value = count + len(members) - len(matching)
-        if best[0] is not None and value >= best[0]:
-            return
-        witness = chosen
-        matched = set()
-        for a, b in matching:
-            witness |= 1 << pair_witness[(min(a, b), max(a, b))]
-            matched.add(a)
-            matched.add(b)
-        for i, v in enumerate(members):
-            if i not in matched:
-                nbr = g.row[v] & avail
-                witness |= (nbr & -nbr) if nbr else (1 << v)
-        best[0] = value
-        best[1] = witness
-
-    def descend(rem, avail, count, chosen, depth):
-        if best[0] is not None and best[0] <= cutoff:
-            return
+    # depth-first over (rem, avail, count, chosen, depth); no solution yet
+    # reads as best = |m| + 1, above every dominating set the search finds
+    best, best_witness = m.bit_count() + 1, None
+    stack = [(remaining, outside, base_count, committed, 0)]
+    while stack and best > cutoff:
+        rem, avail, count, chosen, depth = stack.pop()
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         if rem == 0:
-            if best[0] is None or count < best[0]:
-                best[0] = count
-                best[1] = chosen
-            return
+            if count < best:
+                best, best_witness = count, chosen
+            continue
         branch_x = -1
         max_deg = 0
         for x in bits(avail):
@@ -259,17 +229,36 @@ def _gamma_of_set(g, m, committed, rows, stats, cutoff):
                 branch_x = x
         # admissible bound: every further dominator covers <= max_deg targets
         bound = -(-rem.bit_count() // max(max_deg, 1))
-        if best[0] is not None and count + bound >= best[0]:
-            return
+        if count + bound >= best:
+            continue
         if max_deg <= 2:
-            leaf_value(rem, avail, count, chosen)
-            return
+            # matching base case: a maximum matching of the pairs that one
+            # vertex covers saves one dominator per matched pair
+            stats.matching_calls += 1
+            members = list(bits(rem))
+            index = {v: i for i, v in enumerate(members)}
+            pair_witness = {}
+            for x in bits(avail):
+                pair = tuple(index[v] for v in bits(g.row[x] & rem))
+                if len(pair) == 2:
+                    pair_witness.setdefault(pair, x)
+            matching = maximum_matching_general(Graph(len(members), pair_witness))
+            value = count + len(members) - len(matching)
+            if value < best:
+                best, best_witness = value, chosen
+                for pair in matching:
+                    best_witness |= 1 << pair_witness[pair]
+                matched = {i for pair in matching for i in pair}
+                for i, v in enumerate(members):
+                    if i not in matched:
+                        nbr = g.row[v] & avail
+                        best_witness |= (nbr & -nbr) if nbr else (1 << v)
+            continue
         xbit = 1 << branch_x
-        descend(rem & ~g.row[branch_x], avail & ~xbit, count + 1, chosen | xbit, depth + 1)
-        descend(rem, avail & ~xbit, count, chosen, depth + 1)
-
-    descend(remaining, outside, base_count, committed, 0)
-    return best[0], best[1]
+        avail &= ~xbit
+        stack.append((rem, avail, count, chosen, depth + 1))  # discard x
+        stack.append((rem & ~g.row[branch_x], avail, count + 1, chosen | xbit, depth + 1))
+    return best, best_witness
 
 
 def _gamma_by_subsets(g, m, mandatory, stats):

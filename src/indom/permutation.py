@@ -218,19 +218,19 @@ def parse_diagram(text: str) -> PermutationDiagram:
 def cotree_to_diagram(t) -> PermutationDiagram:
     """Standard diagram of a cograph: unions concatenate both lines, joins
     concatenate the top line and reverse the block order on the bottom line."""
-
-    def build(node):
+    lines = {}  # a finished node's (top, bottom) vertex sequences
+    for node in t.postorder():
         if node.label == LEAF:
-            return [node.vertex], [node.vertex]
-        parts = [build(c) for c in node.children]
+            lines[id(node)] = [node.vertex], [node.vertex]
+            continue
+        parts = [lines.pop(id(c)) for c in node.children]
         top = [v for part in parts for v in part[0]]
         if node.label == UNION:
             bot = [v for part in parts for v in part[1]]
         else:
             bot = [v for part in reversed(parts) for v in part[1]]
-        return top, bot
-
-    top_seq, bot_seq = build(t.root)
+        lines[id(node)] = top, bot
+    top_seq, bot_seq = lines[id(t.root)]
     top = [0] * t.n
     bot = [0] * t.n
     for pos, v in enumerate(top_seq):

@@ -230,6 +230,15 @@ class TestSideArtifacts:
         code, reports = run(capsys, ["gamma-i", target, "--cotree", str(tmp_path / "t.txt")])
         assert code == 2
 
+    def test_empty_graph_with_its_cotree(self, tmp_path, capsys):
+        (tmp_path / "g.txt").write_text("0 0\n")
+        (tmp_path / "t.txt").write_text("node 0 - UNION\n")
+        code, reports = run(capsys, ["gamma-i", str(tmp_path / "g.txt"),
+                                     "--cotree", str(tmp_path / "t.txt")])
+        assert code == 0
+        assert (reports[0]["algorithm"], reports[0]["value"], reports[0]["gamma"]) == (
+            "cograph", 0, 0)
+
 
 class TestEnvCeilings:
     def test_width_ceiling_env(self, tmp_path, capsys, monkeypatch):
@@ -598,4 +607,44 @@ def test_no_function_imports():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 found += [(source.name, inner.lineno) for inner in ast.walk(node)
                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+# modules and functions allowed to call themselves, each with its reason
+RECURSION_ALLOWED = {
+    "oracle": "ground truth, left untouched",
+    "exactexp.brute_force_matching": "test reference for n <= 12",
+    "generators.random_cotree": "random split depth; its draw order is the generator's contract",
+}
+
+
+def _calls_itself(fn):
+    for call in ast.walk(fn):
+        f = getattr(call, "func", None)
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if (isinstance(f, ast.Attribute) and f.attr == fn.name
+                and isinstance(f.value, ast.Name) and f.value.id == "self"):
+            return True
+    return False
+
+
+def test_no_recursion():
+    # deep input must not reach the interpreter's recursion limit, so walks
+    # and searches keep an explicit stack
+    root = Path(__file__).resolve().parent.parent / "src" / "indom"
+    found = []
+    for source in sorted(root.rglob("*.py")):
+        todo = [(ast.parse(source.read_text(encoding="utf-8")), source.stem)]
+        while todo:
+            node, name = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    todo.append((child, name))
+                    continue
+                inner = f"{name}.{child.name}"
+                todo.append((child, inner))
+                allowed = any(f"{inner}.".startswith(f"{a}.") for a in RECURSION_ALLOWED)
+                if not isinstance(child, ast.ClassDef) and not allowed and _calls_itself(child):
+                    found.append(inner)
     assert found == []

@@ -24,7 +24,8 @@ from indom.cograph import (
 )
 from indom.oracle import DominationCertificate, gamma
 from indom.generators import cycle, gnp, path, random_cograph, random_cotree, random_dh
-from indom.graph import FormatError, connected_components
+from indom.graph import FormatError, GraphError, connected_components
+from indom.permutation import cotree_to_diagram, diagram_to_graph
 
 
 def k4():
@@ -51,6 +52,18 @@ class TestBuildCotree:
         assert gamma_i_cograph(Graph(0), t)[0] == 0
         # recognized here, without a cotree
         assert gamma_i_cograph(Graph(0)) == (0, DominationCertificate(0, 0, 0))
+
+    def test_deep_threshold_graph(self):
+        # vertex i is adjacent to every earlier vertex when i is odd: unions
+        # and joins alternate down a cotree about n levels deep
+        n = 3000
+        g = Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+        t = build_cotree(g)
+        assert isinstance(t, Cotree)
+        assert cotree_to_graph(t) == g
+        assert gamma_cograph(t) == 1  # the last vertex is universal
+        assert gamma_i_cograph(g, t)[0] == 1
+        assert diagram_to_graph(cotree_to_diagram(t)) == g
 
     def test_p4_witness(self):
         result = build_cotree(path(4))
@@ -155,6 +168,23 @@ class TestCotreeFormat:
             text = serialize_cotree(t)
             back = parse_cotree(text)
             assert cotree_to_graph(back) == cotree_to_graph(t)
+
+    def test_empty_graph_round_trip(self):
+        t = build_cotree(Graph(0))
+        text = serialize_cotree(t)
+        assert text == "node 0 - UNION\n"
+        back = parse_cotree(text)
+        assert (back.n, back.root.label, back.root.children) == (0, UNION, [])
+        assert cotree_to_graph(back) == Graph(0)
+
+    @pytest.mark.parametrize("text", [
+        "node 0 - JOIN\n",
+        "node 0 - UNION\nnode 1 0 JOIN\n",
+        "node 0 - UNION\nnode 1 0 LEAF 0\n",
+    ], ids=["join-root", "childless-join", "one-child-root"])
+    def test_only_the_empty_union_root_may_lack_children(self, text):
+        with pytest.raises(GraphError, match="fewer than 2 children"):
+            parse_cotree(text)
 
     def test_component_count_from_tree(self):
         for seed in range(20):
