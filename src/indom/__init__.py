@@ -16,6 +16,7 @@ from .graph import (
     bits,
     mask_from,
     mask_to_list,
+    closed_neighborhood,
     dominates,
     is_independent,
     complement,

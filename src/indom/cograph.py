@@ -44,13 +44,14 @@ class Cotree:
     n: int
 
     def postorder(self):
-        """Every node, each after all of its children."""
+        """Every node after its children; a leaf's children are not walked."""
         order = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             order.append(node)
-            stack.extend(node.children)
+            if node.label != LEAF:
+                stack.extend(node.children)
         order.reverse()
         return order
 
@@ -180,14 +181,12 @@ def cotree_to_graph(t: Cotree) -> Graph:
         if node.label == LEAF:
             leaves[id(node)] = [node.vertex]
             continue
-        parts = [leaves.pop(id(c)) for c in node.children]
-        if node.label == JOIN:
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    for u in parts[i]:
-                        for v in parts[j]:
-                            edges.append((u, v))
-        merged = [v for part in parts for v in part]
+        merged = []
+        for c in node.children:
+            part = leaves.pop(id(c))
+            if node.label == JOIN:
+                edges += [(u, v) for u in merged for v in part]
+            merged += part
         leaves[id(node)] = merged
     vertices = leaves[id(t.root)]
     if sorted(vertices) != list(range(t.n)):
@@ -196,23 +195,19 @@ def cotree_to_graph(t: Cotree) -> Graph:
 
 
 def validate_cotree(t: Cotree) -> None:
-    """Check arity and label alternation along root-to-leaf paths. The one
-    internal node allowed fewer than two children is the empty graph's root,
-    a union of no components."""
-    stack = [(t.root, None)]
+    """Check arity, that no internal node shares its label with a child, and
+    that the leaves are 0..n-1. The one internal node allowed fewer than two
+    children is the empty graph's root, a union of no components."""
     seen = []
-    while stack:
-        node, parent_label = stack.pop()
+    for node in t.postorder():
         if node.label == LEAF:
             seen.append(node.vertex)
             continue
         empty_root = t.n == 0 and node is t.root and node.label == UNION
         if len(node.children) < 2 and not empty_root:
             raise GraphError("internal cotree node with fewer than 2 children")
-        if node.label == parent_label:
+        if any(c.label == node.label for c in node.children):
             raise GraphError("cotree labels do not alternate")
-        for c in node.children:
-            stack.append((c, node.label))
     if sorted(seen) != list(range(t.n)):
         raise GraphError("cotree leaves are not a bijection onto 0..n-1")
 

@@ -321,19 +321,27 @@ def _leaf_items(g, node):
     return [_Item(False, (1, INF, 1, INF), v, (v, 0, v, 0))]
 
 
+def _cut(join, l_in, r_in, u1, d1, u2, d2):
+    """The rank-1 cut rule: the parent's (u, d) from its children's, or None
+    when a child's deferred domination has nowhere to go. A child's deferral
+    is met by the other child's d across a join, and otherwise passes up only
+    through a twinset the parent keeps; the parent's d is a kept child's d."""
+    res1 = u1 and not (join and d2)
+    res2 = u2 and not (join and d1)
+    if res1 and not l_in or res2 and not r_in:
+        return None
+    return int(res1 or res2), int(d1 and l_in or d2 and r_in)
+
+
 def _legal_pairs(join, l_in, r_in):
     """Per parent slot u*2+d, the child slot pairs (u1*2+d1, u2*2+d2) a node
-    allows, in (u1, d1, u2, d2) order: a child may defer its own domination
-    (u1, u2) only to D across a join or to the parent's deferral, and the
-    parent's d needs a child d inside the twinset."""
+    allows, in (u1, d1, u2, d2) order: their cut exists, defers nothing when
+    u = 0, and keeps a twinset dominator when d = 1."""
+    cuts = [(u1 * 2 + d1, u2 * 2 + d2, _cut(join, l_in, r_in, u1, d1, u2, d2))
+            for u1, d1, u2, d2 in itertools.product((0, 1), repeat=4)]
     return tuple(
-        tuple(
-            (u1 * 2 + d1, u2 * 2 + d2)
-            for u1, d1, u2, d2 in itertools.product((0, 1), repeat=4)
-            if (not u1 or (join and d2) or (l_in and u))
-            and (not u2 or (join and d1) or (r_in and u))
-            and (not d or (d1 and l_in) or (d2 and r_in))
-        )
+        tuple((k1, k2) for k1, k2, cut in cuts
+              if cut is not None and cut[0] <= u and d <= cut[1])
         for u in (0, 1) for d in (0, 1)
     )
 
@@ -503,18 +511,12 @@ def _combine_tables(n, node, t1, t2):
     out = {}
     for (i1, u1, d1, x1), m1 in t1.flags.items():
         for (i2, u2, d2, x2), m2 in t2.flags.items():
-            if join and i1 and i2:
-                continue
-            res1 = u1 and not (join and d2)
-            if res1 and not l_in:
-                continue
-            res2 = u2 and not (join and d1)
-            if res2 and not r_in:
+            cut = _cut(join, l_in, r_in, u1, d1, u2, d2)
+            if join and i1 and i2 or cut is None:
                 continue
             key = (
                 int((i1 and l_in) or (i2 and r_in)),
-                int(res1 or res2),
-                int((d1 and l_in) or (d2 and r_in)),
+                *cut,
                 int(
                     (x1 and l_in)
                     or (x2 and r_in)

@@ -28,7 +28,8 @@ import itertools
 from collections import deque
 from dataclasses import asdict, dataclass
 
-from .graph import Graph, GraphError, bits, is_independent, mask_from
+from .graph import (Graph, GraphError, bits, closed_neighborhood, is_independent, mask_from,
+                    vertex_set)
 from .oracle import DominationCertificate
 
 DEFAULT_BETA = 0.6827
@@ -163,9 +164,7 @@ def gamma_of_independent_set_fast(
     search stops at its first solution of size <= c. With gamma(m) > c, or
     with the default c = -1, the value and witness are the exact minimum.
     """
-    m = mask_from(m)
-    if m < 0 or m >> g.n:
-        raise GraphError(f"set names a vertex outside 0..{g.n - 1}")
+    m = vertex_set(g, m)
     if not is_independent(g, m):
         raise GraphError("set is not independent")
     if stats is None:
@@ -268,9 +267,7 @@ def _gamma_by_subsets(g, m, mandatory, stats):
     stats.subset_calls += 1
     others = [v for v in bits(g.full_mask & ~m)]
     base = mandatory.bit_count()
-    cover_base = 0
-    for v in bits(mandatory):
-        cover_base |= g.closed[v]
+    cover_base = closed_neighborhood(g, mandatory)
     for extra in range(len(others) + 1):
         for combo in itertools.combinations(others, extra):
             cover = cover_base

@@ -133,8 +133,24 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-def is_independent(g: Graph, s: Iterable[int] | int) -> bool:
+def vertex_set(g: Graph, s: Iterable[int] | int) -> int:
+    """s as a mask; GraphError when it names a vertex outside 0..n-1."""
     s = mask_from(s)
+    if s < 0 or s >> g.n:
+        raise GraphError(f"set names a vertex outside 0..{g.n - 1}")
+    return s
+
+
+def closed_neighborhood(g: Graph, s: Iterable[int] | int) -> int:
+    """N[s]: the mask of s and its neighbors."""
+    cover = 0
+    for v in bits(vertex_set(g, s)):
+        cover |= g.closed[v]
+    return cover
+
+
+def is_independent(g: Graph, s: Iterable[int] | int) -> bool:
+    s = vertex_set(g, s)
     for v in bits(s):
         if g.row[v] & s:
             return False
@@ -143,12 +159,8 @@ def is_independent(g: Graph, s: Iterable[int] | int) -> bool:
 
 def dominates(g: Graph, d: Iterable[int] | int, b: Iterable[int] | int) -> bool:
     """True iff every vertex of b lies in the closed neighborhood of some d vertex."""
-    d = mask_from(d)
-    b = mask_from(b)
-    cover = 0
-    for v in bits(d):
-        cover |= g.closed[v]
-    return b & ~cover == 0
+    cover = closed_neighborhood(g, d)
+    return vertex_set(g, b) & ~cover == 0
 
 
 def complement(g: Graph) -> Graph:
@@ -158,7 +170,7 @@ def complement(g: Graph) -> Graph:
 
 def induced_subgraph(g: Graph, s: Iterable[int] | int) -> tuple[Graph, list[int]]:
     """Induced subgraph on s plus the list mapping new ids to original ids."""
-    s = mask_from(s)
+    s = vertex_set(g, s)
     old = mask_to_list(s)
     index = {v: i for i, v in enumerate(old)}
     rows = (mask_from(index[w] for w in bits(g.row[v] & s)) for v in old)
@@ -167,7 +179,7 @@ def induced_subgraph(g: Graph, s: Iterable[int] | int) -> tuple[Graph, list[int]
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
     """Component masks, in increasing order of their smallest member."""
-    todo = g.full_mask if within is None else within
+    todo = g.full_mask if within is None else vertex_set(g, within)
     comps = []
     while todo:
         seed = todo & -todo

@@ -31,7 +31,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, bits, connected_components, induced_subgraph, mask_from
+from .graph import (Graph, GraphError, bits, closed_neighborhood, connected_components,
+                    induced_subgraph, vertex_set)
 from .oracle import DominationCertificate, enumerate_maximal_independent_sets, gamma_of_set
 from .treewidth import DEFAULT_WIDTH_CEILING, gamma_i_treewidth, heuristic_decomposition
 from .exactexp import gamma_of_independent_set_fast
@@ -49,7 +50,7 @@ class Layering:
 
 
 def bfs_layering(g: Graph, roots) -> Layering:
-    roots = mask_from(roots)
+    roots = vertex_set(g, roots)
     if roots == 0:
         raise GraphError("layering needs a nonempty root set")
     level = [-1] * g.n
@@ -108,15 +109,6 @@ _OPTIONS_PER_PIECE = 8
 _COMBINATION_CAP = 256
 
 
-def _outside_cover(g, witness):
-    """~N[D] for a dominating set D: D and the members of a set A outside
-    N[D] dominate A, so gamma(A) <= |D| + |A & ~N[D]|."""
-    cover = 0
-    for v in bits(witness):
-        cover |= g.closed[v]
-    return ~cover
-
-
 def _optimal_sets(part, value):
     """Up to _OPTIONS_PER_PIECE maximal independent sets of the piece that
     achieve its optimum, in enumeration order, and how many sets the
@@ -135,7 +127,7 @@ def _optimal_sets(part, value):
             continue
         size, witness = gamma_of_set(part, m)
         if size < value:
-            uncovered.append((_outside_cover(part, witness), value - size))
+            uncovered.append((~closed_neighborhood(part, witness), value - size))
         else:
             found.append(m)
             if len(found) >= _OPTIONS_PER_PIECE:
@@ -267,7 +259,7 @@ def _best_combination(g, options):
             continue
         cutoff = -1 if best is None else best[0]
         value, witness, _ = gamma_of_independent_set_fast(g, a_mask, cutoff=cutoff)
-        uncovered.append((_outside_cover(g, witness), witness.bit_count()))
+        uncovered.append((~closed_neighborhood(g, witness), witness.bit_count()))
         if best is None or value > best[0]:
             best = (value, a_mask, witness)
     return (*best, len(uncovered), settled)

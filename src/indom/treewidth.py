@@ -84,6 +84,8 @@ class TreeDecomposition:
     def neighbors(self):
         adj = [[] for _ in self.bags]
         for a, b in self.edges:
+            if not (0 <= a < len(adj) and 0 <= b < len(adj)):
+                raise GraphError(f"bag edge ({a}, {b}) out of range")
             adj[a].append(b)
             adj[b].append(a)
         return adj
@@ -140,11 +142,11 @@ def validate_decomposition(g: Graph, td: TreeDecomposition):
             return Violation("edge-cover", f"edge ({u}, {v}) has no common bag")
     if len(td.edges) != max(len(td.bags) - 1, 0):
         return Violation("tree", "bag graph is not a tree")
-    for a, b in td.edges:
-        if not (0 <= a < len(td.bags) and 0 <= b < len(td.bags)):
-            return Violation("tree", f"bag edge ({a}, {b}) out of range")
-    if len(_postorder(td)) != len(td.bags):
-        return Violation("tree", "bag graph is disconnected")
+    try:
+        if len(_postorder(td)) != len(td.bags):
+            return Violation("tree", "bag graph is disconnected")
+    except GraphError as exc:  # a bag edge out of range
+        return Violation("tree", str(exc))
     # in a tree the bags holding v induce a forest with (holders - shared
     # edges) components, so they are connected iff that count is 1
     for a, b in td.edges:
@@ -706,8 +708,6 @@ def gamma_i_treewidth(
     It raises when the set found is smaller than the value (the DP was too
     high) and when the search finds none and ends above it (too low).
     """
-    if g.n == 0:
-        return 0, DominationCertificate(0, 0, 0)
     if td is None:
         td = choose_decomposition(g, width_ceiling)
     if td.width > width_ceiling:

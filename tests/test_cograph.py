@@ -60,6 +60,8 @@ class TestBuildCotree:
         g = Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
         t = build_cotree(g)
         assert isinstance(t, Cotree)
+        validate_cotree(t)
+        assert parse_cotree(serialize_cotree(t)).n == n
         assert cotree_to_graph(t) == g
         assert gamma_cograph(t) == 1  # the last vertex is universal
         assert gamma_i_cograph(g, t)[0] == 1
@@ -184,6 +186,18 @@ class TestCotreeFormat:
     ], ids=["join-root", "childless-join", "one-child-root"])
     def test_only_the_empty_union_root_may_lack_children(self, text):
         with pytest.raises(GraphError, match="fewer than 2 children"):
+            parse_cotree(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("node 0 - UNION\nnode 1 0 UNION\nnode 2 1 LEAF 0\nnode 3 1 LEAF 1\n"
+         "node 4 0 LEAF 2\n", "do not alternate"),
+        ("node 0 - JOIN\nnode 1 0 LEAF 0\nnode 2 0 LEAF 2\n", "not a bijection"),
+        # a leaf's children are not walked, so its child leaf 1 is missing
+        ("node 0 - JOIN\nnode 1 0 LEAF 0\nnode 2 1 LEAF 1\nnode 3 0 LEAF 2\n",
+         "not a bijection"),
+    ], ids=["union-under-union", "leaves-0-and-2", "leaf-under-leaf"])
+    def test_malformed_trees_are_refused(self, text, message):
+        with pytest.raises(GraphError, match=message):
             parse_cotree(text)
 
     def test_component_count_from_tree(self):

@@ -123,6 +123,8 @@ class TestAnswers:
             "exact": "exact"}
         assert set(answers["dh"][3]) == {"stats"}
         assert answers["treewidth"][3]["width"] == -1
+        # the DP itself answers, on make_nice's one empty leaf
+        assert answers["treewidth"][3]["stats"]["nice_nodes"] == 1
         assert answers["exact"][3]["stats"]["sets_enumerated"] == 1
         for _, value, cert, _ in answers.values():
             assert value == 0 and verify_certificate(g, cert)

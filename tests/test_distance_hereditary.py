@@ -518,6 +518,23 @@ class TestCombineTable:
             runs.append(run)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("join, l_in, r_in", itertools.product((False, True), repeat=3))
+    def test_legal_pairs_keep_the_three_clause_rule(self, join, l_in, r_in):
+        # the cut rule as three clauses: a child defers its own domination
+        # only to the other child's d across a join or to the parent's
+        # deferral, and the parent's d needs a child d inside the twinset
+        want = tuple(
+            tuple(
+                (u1 * 2 + d1, u2 * 2 + d2)
+                for u1, d1, u2, d2 in itertools.product((0, 1), repeat=4)
+                if (not u1 or (join and d2) or (l_in and u))
+                and (not u2 or (join and d1) or (r_in and u))
+                and (not d or (d1 and l_in) or (d2 and r_in))
+            )
+            for u in (0, 1) for d in (0, 1)
+        )
+        assert distance_hereditary._LEGAL[join, l_in, r_in] == want
+
 
 class _ProvItem:
     """An item of the design that walks its certificate back down the tree:

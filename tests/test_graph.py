@@ -9,6 +9,7 @@ from indom import (
     FormatError,
     build_graph,
     bits,
+    closed_neighborhood,
     mask_from,
     mask_to_list,
     dominates,
@@ -96,6 +97,46 @@ def _negative_id_calls():
 def test_negative_id_is_a_graph_error_naming_it(entry):
     with pytest.raises(GraphError, match="vertex id -1 is negative"):
         _negative_id_calls()[entry](Graph(3, [(0, 1)]))
+
+
+def _out_of_range_calls():
+    from indom.exactexp import gamma_of_independent_set_fast
+    from indom.graph import is_independent
+    from indom.oracle import DominationCertificate, verify_certificate
+    from indom.planar import bfs_layering
+
+    far = 1 << 9
+    return {
+        "is_independent": lambda g: is_independent(g, far),
+        "dominates-d": lambda g: dominates(g, far, 1),
+        "dominates-b": lambda g: dominates(g, 1, far),
+        "closed_neighborhood": lambda g: closed_neighborhood(g, far),
+        "induced_subgraph": lambda g: induced_subgraph(g, far),
+        "connected_components": lambda g: connected_components(g, within=far),
+        "bfs_layering": lambda g: bfs_layering(g, far),
+        "gamma_of_independent_set_fast": lambda g: gamma_of_independent_set_fast(g, far),
+        "verify_certificate": lambda g: verify_certificate(g, DominationCertificate(1, far, 1)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_out_of_range_calls()))
+def test_set_beyond_the_graph_is_a_graph_error(entry):
+    # vertex 9 of a 4-vertex graph: no bare IndexError, and no False from
+    # dominates as though the set were merely undominated
+    with pytest.raises(GraphError, match=r"set names a vertex outside 0\.\.3"):
+        _out_of_range_calls()[entry](path(4))
+
+
+def test_closed_neighborhood_is_the_set_and_its_neighbors():
+    g = path(5)
+    assert closed_neighborhood(g, 0) == 0
+    assert closed_neighborhood(g, {0}) == 0b00011
+    assert closed_neighborhood(g, {0, 3}) == 0b11111
+    for seed in range(10):
+        g = gnp(8, 0.3, seed)
+        for s in range(1 << g.n):
+            want = mask_from(v for v in range(g.n) if s >> v & 1 or g.row[v] & s)
+            assert closed_neighborhood(g, s) == want
 
 
 def test_complement_c4_is_2k2():

@@ -293,6 +293,14 @@ class TestNiceForm:
             with pytest.raises(GraphError, match="bag 0 reaches 2 of 3 bags"):
                 make_nice(TreeDecomposition(3, bags, edges))
 
+    @pytest.mark.parametrize("call", [
+        make_nice, planned_cost, lambda td: gamma_i_treewidth(path(4), td),
+    ], ids=["make_nice", "planned_cost", "gamma_i_treewidth"])
+    def test_a_bag_edge_out_of_range_is_a_graph_error(self, call):
+        td = TreeDecomposition(4, [0b0011, 0b0110, 0b1100], [(0, 1), (0, 99)])
+        with pytest.raises(GraphError, match=r"bag edge \(0, 99\) out of range"):
+            call(td)
+
     def test_an_edge_listed_twice_is_walked_once(self):
         td = TreeDecomposition(4, [0b0011, 0b0110, 0b1100], [(0, 1), (1, 2)])
         twice = TreeDecomposition(4, td.bags, td.edges + [(2, 1)])
