@@ -318,6 +318,8 @@ def parse_cotree(text: str) -> Cotree:
             parent = nodes.get(parent_id)
             if parent is None:
                 raise FormatError("parent appears after child or is missing", lineno)
+            if parent.label == LEAF:
+                raise FormatError(f"parent {parent_id} is a LEAF", lineno)
             parent.children.append(node)
     if root_id is None:
         raise FormatError("no root node")

@@ -8,6 +8,8 @@ class: the recognizers accept it and each solver answers it with 0.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .graph import Graph, GraphError
 from .cograph import (ClassMismatchError, P4Witness, build_cotree, cotree_to_graph,
                       gamma_cograph, gamma_i_cograph)
@@ -55,7 +57,7 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
         if not isinstance(seq, DHFailure):
             decomp = build_dh_decomposition(g, seq)
             value, cert = gamma_i_dh(g, decomp, stats)
-            return "dh", value, cert, {"stats": stats.as_dict()}
+            return "dh", value, cert, {"stats": asdict(stats)}
         if algo == "dh":
             raise ClassMismatchError(
                 f"not distance-hereditary: stuck at vertex {seq.stuck_vertex}", witness=seq
@@ -72,7 +74,7 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
         try:
             value, cert = gamma_i_treewidth(g, decomposition, width_ceiling, stats)
             return "treewidth", value, cert, {"width": decomposition.width,
-                                              "stats": stats.as_dict()}
+                                              "stats": asdict(stats)}
         except CapacityError as exc:
             if algo == "treewidth":
                 raise
@@ -83,4 +85,4 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
         if refused is None:
             raise
         raise GraphError(f"{exc}; treewidth solver: {refused}") from None
-    return "exact", value, cert, {"stats": stats.as_dict()}
+    return "exact", value, cert, {"stats": asdict(stats)}

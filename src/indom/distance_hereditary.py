@@ -35,11 +35,12 @@ verbatim against exhaustive enumeration on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 
-from .graph import Graph, GraphError, FormatError, bits, parse_ints, read_lines
+from .graph import Graph, GraphError, FormatError, bits, parse_ints, read_lines, undominated
 from .oracle import DominationCertificate
-from .cograph import ClassMismatchError
+from .cograph import JOIN, UNION, ClassMismatchError
 
 INF = 10**9  # cost of an infeasible value-DP slot
 PENDANT = "pendant"
@@ -87,9 +88,6 @@ class DHStats:
     true_twins: int = 0
     false_twins: int = 0
     max_items: int = 0
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def recognize_dh(g: Graph, stats: DHStats | None = None):
@@ -197,9 +195,6 @@ def parse_sequence(text: str) -> PruningSequence:
 
 # --- decomposition tree ------------------------------------------------------
 
-UNION = "union"
-JOIN = "join"
-
 
 class DHNode:
     """A leaf for one vertex, or the JOIN or UNION of its children's parts.
@@ -296,9 +291,10 @@ def build_dh_decomposition(g: Graph, seq: PruningSequence) -> DHDecomposition:
 #   a     one representative A, as a mask,
 #   d     per slot u*2+d, a dominating set D of cost c[u*2+d], as a mask.
 # A combined item ORs its children's A and, per slot, the D masks of the
-# first child slot pair of minimum cost. Items whose cost vector is
-# pointwise dominated within the same i are dropped; the root maximizes
-# c[u=0,d=0] over the surviving items, and its (a, d[0]) is the certificate.
+# first child slot pair of minimum cost. graph.undominated drops each item
+# whose cost vector another item of the same i bounds from above (of equal
+# vectors it keeps the first) and groups the survivors by i; the root
+# maximizes c[u=0,d=0] over them, and its (a, d[0]) is the certificate.
 
 
 class _Item:
@@ -378,30 +374,7 @@ def _combine_items(node, items1, items2):
                 d.append(dom)
             i = (it1.i and l_in) or (it2.i and r_in)
             out.append(_Item(i, tuple(c), it1.a | it2.a, tuple(d)))
-    return _prune_items(out)
-
-
-def _prune_items(items):
-    kept = []
-    seen = set()
-    for it in items:
-        key = (it.i, it.c)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(it)
-    survivors = []
-    for it in kept:
-        dominated = False
-        for other in kept:
-            if other is it or other.i != it.i:
-                continue
-            if all(oc >= c for oc, c in zip(other.c, it.c)) and other.c != it.c:
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(it)
-    return survivors
+    return undominated(out, attrgetter("i"), attrgetter("c"))
 
 
 def _value_items(g, decomp, stats):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .graph import (Graph, GraphError, bits, closed_neighborhood, is_independent, mask_from,
                     vertex_set)
@@ -46,9 +46,6 @@ class BranchStats:
     subset_calls: int = 0
     sets_enumerated: int = 0
     sets_cut: int = 0  # settled without search: |M| or a greedy cover <= cutoff
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def maximum_matching_general(g: Graph) -> list[tuple[int, int]]:

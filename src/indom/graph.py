@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from operator import le
 from typing import Iterable, Iterator
 
 # Vertex ids are capped so product constructions cannot silently explode.
@@ -249,6 +250,27 @@ def edge_clique_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
             if all(g.has_edge(u, v) for u, v in itertools.combinations(endpoints, 2)):
                 out.append((i, j))
     return Graph(len(edge_list), out), edge_list
+
+
+def undominated(items: Iterable, key, costs) -> list:
+    """The items that no other item of the same key bounds from above.
+
+    An item whose cost vector another item's bounds pointwise from above
+    never wins a maximum over items of a minimum over costs, so the max-min
+    DPs drop it. Of items with equal costs the first is kept. The result
+    lists the keys in order of first appearance, and each key's items in
+    their input order.
+    """
+    groups = {}
+    for it in items:
+        c = costs(it)
+        kept = groups.get(k := key(it))
+        if kept is None:
+            groups[k] = [(c, it)]
+        elif not any(all(map(le, c, kc)) for kc, _ in kept):
+            kept[:] = [(kc, b) for kc, b in kept if not all(map(le, kc, c))]
+            kept.append((c, it))
+    return [it for kept in groups.values() for _, it in kept]
 
 
 # --- text formats -----------------------------------------------------------

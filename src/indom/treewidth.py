@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import groupby
-from operator import add, attrgetter, le, sub
+from operator import add, attrgetter, sub
 
 from .graph import (MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from,
-                    mask_to_list, parse_ints, read_lines)
+                    mask_to_list, parse_ints, read_lines, undominated)
 from .oracle import DominationCertificate
 from .exactexp import gamma_of_independent_set_fast
 
@@ -522,37 +522,10 @@ class DPStats:
     max_entries: int = 0
     peak_live_entries: int = 0
 
-    def as_dict(self):
-        return asdict(self)
-
-
-def _at_least(b, a):
-    """True if table b costs at least as much as table a everywhere, so a
-    never wins the maximum over A. Both have the layout of one A-pattern."""
-    return all(map(le, a, b))
-
-
-def _merge_items(items):
-    """Per A-pattern, keep one item of each cost function that no other
-    item's function bounds from above. Closed tables are canonical, so equal
-    functions have equal tables and duplicates go the same way."""
-    grouped = {}
-    for it in items:
-        grouped.setdefault(it.alpha, []).append(it)
-    out = []
-    for group in grouped.values():
-        kept = []
-        for it in group:
-            if not any(_at_least(b.table, it.table) for b in kept):
-                kept = [b for b in kept if not _at_least(it.table, b.table)]
-                kept.append(it)
-        out.extend(kept)
-    return out
-
 
 def _planned_entries(g, node, kids):
-    """Table entries a node allocates before merging, from its children's
-    shapes alone."""
+    """Table entries a node allocates before its bounded items are dropped,
+    from its children's shapes alone."""
     b = node.bag.bit_count()
     if node.kind == LEAF:
         return 1
@@ -574,9 +547,12 @@ def _planned_entries(g, node, kids):
 
 def _dp_nodes(g, nd, stats=None):
     """Yield (node index, items) for every nice node, children first. A
-    node's items are dropped once its parent is built, so only the tables
-    of the frontier stay live. A node that would allocate more than
-    TABLE_BUDGET entries raises CapacityError before it allocates any."""
+    forget or a join drops, through graph.undominated, each item whose table
+    another item of its A-pattern bounds from above; closed tables are
+    canonical, so of equal cost functions one item stays. A node's items are
+    dropped once its parent is built, so only the tables of the frontier
+    stay live. A node that would allocate more than TABLE_BUDGET entries
+    raises CapacityError before it allocates any."""
     if stats is None:
         stats = DPStats()
     stats.nice_nodes = len(nd.nodes)
@@ -596,9 +572,9 @@ def _dp_nodes(g, nd, stats=None):
         elif node.kind == INTRODUCE:
             items = _introduce(g, node, kids[0])
         elif node.kind == FORGET:
-            items = _merge_items(_forget(node, kids[0]))
+            items = undominated(_forget(node, kids[0]), attrgetter("alpha"), attrgetter("table"))
         else:
-            items = _merge_items(_join(node, *kids))
+            items = undominated(_join(node, *kids), attrgetter("alpha"), attrgetter("table"))
         live[idx] = items
         entries = sizes[idx] = sum(len(it.table) for it in items)
         live_entries += entries
@@ -614,8 +590,9 @@ def _introduce(g, node, child_items):
     """Closed tables straight from closed child tables: the cheapest way to
     reach "at least w dominated" with v in D is the child entry for w minus
     what v dominates, so every entry is one gather and no minimum is taken.
-    Every child entry is copied, so items stay mutually unbounded; emitting
-    each A-pattern's items before those that add v keeps the merged order."""
+    Every child entry is copied, so items stay mutually unbounded and need
+    no filter; emitting each A-pattern's items before those that add v keeps
+    them grouped by A-pattern, as undominated leaves them."""
     v = node.vertex
     vb = 1 << v
     row = g.row[v]

@@ -9,6 +9,7 @@ from indom import (
 from indom.cograph import (
     ClassMismatchError,
     Cotree,
+    CotreeNode,
     P4Witness,
     LEAF,
     UNION,
@@ -192,13 +193,20 @@ class TestCotreeFormat:
         ("node 0 - UNION\nnode 1 0 UNION\nnode 2 1 LEAF 0\nnode 3 1 LEAF 1\n"
          "node 4 0 LEAF 2\n", "do not alternate"),
         ("node 0 - JOIN\nnode 1 0 LEAF 0\nnode 2 0 LEAF 2\n", "not a bijection"),
-        # a leaf's children are not walked, so its child leaf 1 is missing
         ("node 0 - JOIN\nnode 1 0 LEAF 0\nnode 2 1 LEAF 1\nnode 3 0 LEAF 2\n",
-         "not a bijection"),
+         "line 3: parent 1 is a LEAF"),
     ], ids=["union-under-union", "leaves-0-and-2", "leaf-under-leaf"])
     def test_malformed_trees_are_refused(self, text, message):
         with pytest.raises(GraphError, match=message):
             parse_cotree(text)
+
+    def test_a_leaf_built_with_children_is_refused(self):
+        # the text of this tree is refused at its child's line; built in
+        # memory, its leaf's children are not walked, so vertex 1 is missing
+        leaf = CotreeNode(LEAF, [CotreeNode(LEAF, vertex=1)], vertex=0)
+        t = Cotree(CotreeNode(JOIN, [leaf, CotreeNode(LEAF, vertex=2)]), 3)
+        with pytest.raises(GraphError, match="not a bijection"):
+            validate_cotree(t)
 
     def test_component_count_from_tree(self):
         for seed in range(20):

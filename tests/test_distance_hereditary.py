@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -13,6 +14,7 @@ from indom import (
     verify_certificate,
 )
 from indom import distance_hereditary
+from indom.graph import undominated
 from indom.distance_hereditary import (
     INF,
     JOIN,
@@ -467,7 +469,7 @@ def _combine_by_search(node, items1, items2):
                             dom[u * 2 + d] = it1.d[k1] | it2.d[k2]
             i = (it1.i and l_in) or (it2.i and r_in)
             out.append(distance_hereditary._Item(i, tuple(c), it1.a | it2.a, tuple(dom)))
-    return distance_hereditary._prune_items(out)
+    return undominated(out, attrgetter("i"), attrgetter("c"))
 
 
 def edge_value_items(g, decomp):
@@ -557,7 +559,7 @@ def _provenance_leaf_items(node):
     else:
         items = [_ProvItem(False, 0, (0, INF, 0, INF), ("leaf", v, True)),
                  _ProvItem(False, 1, (1, INF, 1, INF), ("leaf", v, True))]
-    return distance_hereditary._prune_items(items)
+    return undominated(items, attrgetter("i"), attrgetter("c"))
 
 
 def _provenance_combine(node, items1, items2):
@@ -579,7 +581,7 @@ def _provenance_combine(node, items1, items2):
                 picks.append(pick)
             i = (it1.i and l_in) or (it2.i and r_in)
             out.append(_ProvItem(i, it1.a + it2.a, tuple(c), ("comb", it1, it2, picks)))
-    return distance_hereditary._prune_items(out)
+    return undominated(out, attrgetter("i"), attrgetter("c"))
 
 
 def _provenance_root_item(decomp):

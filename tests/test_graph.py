@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -25,7 +26,7 @@ from indom import (
 from indom.cograph import cotree_to_graph, parse_cotree, serialize_cotree
 from indom.distance_hereditary import parse_sequence, serialize_sequence
 from indom.oracle import gamma
-from indom.graph import EDGE_SLICE
+from indom.graph import EDGE_SLICE, undominated
 from indom.generators import (
     complete_multipartite,
     cycle,
@@ -137,6 +138,48 @@ def test_closed_neighborhood_is_the_set_and_its_neighbors():
         for s in range(1 << g.n):
             want = mask_from(v for v in range(g.n) if s >> v & 1 or g.row[v] & s)
             assert closed_neighborhood(g, s) == want
+
+
+def _undominated_by_definition(items, key, costs):
+    """Per key in order of first appearance, the items in input order that
+    no item of the key bounds from above with other costs, and that no
+    earlier item of the key equals."""
+    out = []
+    for k in dict.fromkeys(map(key, items)):
+        group = [it for it in items if key(it) == k]
+        for j, it in enumerate(group):
+            c = list(costs(it))
+            bounded = any(list(costs(o)) != c and all(x >= y for x, y in zip(costs(o), c))
+                          for o in group)
+            repeated = any(list(costs(o)) == c for o in group[:j])
+            if not bounded and not repeated:
+                out.append(it)
+    return out
+
+
+def test_undominated_keeps_the_first_unbounded_item_per_key_in_order():
+    items = [("b", 0, (1, 2)), ("a", 1, (0, 0)), ("b", 2, (1, 2)), ("b", 3, (2, 1)),
+             ("a", 4, (1, 0)), ("b", 5, (0, 1))]
+    # (1, 2) once, of the two; (0, 1) lies under (1, 2) and (0, 0) under (1, 0)
+    kept = undominated(items, itemgetter(0), itemgetter(2))
+    assert [it[1] for it in kept] == [0, 3, 4]
+    assert undominated([], itemgetter(0), itemgetter(2)) == []
+
+
+@pytest.mark.parametrize("vector", [tuple, list], ids=["tuple", "list"])
+def test_undominated_matches_its_definition(vector):
+    rng = random.Random(26)
+    equal = bounded = 0
+    for _ in range(300):
+        width = rng.randrange(1, 5)
+        items = [(rng.randrange(3), idx, vector(rng.randrange(3) for _ in range(width)))
+                 for idx in range(rng.randrange(25))]
+        for key in (itemgetter(0), lambda it: it[0] % 2, lambda it: 0):
+            kept = undominated(items, key, itemgetter(2))
+            assert kept == _undominated_by_definition(items, key, itemgetter(2))
+            equal += len({(key(it), tuple(it[2])) for it in items}) < len(items)
+            bounded += len(kept) < len({(key(it), tuple(it[2])) for it in items})
+    assert equal > 100 and bounded > 100
 
 
 def test_complement_c4_is_2k2():
