@@ -3,8 +3,9 @@
 A cograph decomposes completely into disjoint unions and joins; the cotree
 records that decomposition with leaves standing for vertices. Recognition
 works by recursive partition: split on connected components, otherwise on
-components of the complement, otherwise the block is not a cograph and a
-4-vertex induced path is extracted as the refusal witness.
+components of the complement, otherwise the block is not a cograph. The
+refusal witness is a 4-vertex induced path in that block, extracted when it
+is first read.
 """
 
 from __future__ import annotations
@@ -56,11 +57,44 @@ class Cotree:
         return order
 
 
-@dataclass(frozen=True)
 class P4Witness:
-    """Four vertices inducing a path, in path order."""
+    """Four vertices inducing a path, in path order.
 
-    vertices: tuple[int, int, int, int]
+    build_cotree gives the graph and the block it could not split instead,
+    and the path is found in that block when ``vertices`` is first read:
+    auto dispatch only tests the type of a refusal and moves on.
+    """
+
+    __slots__ = ("_vertices", "_block")
+
+    def __init__(self, vertices: tuple[int, int, int, int]):
+        self._vertices = tuple(vertices)
+        self._block = None
+
+    @classmethod
+    def _in_block(cls, g: Graph, mask: int) -> P4Witness:
+        witness = cls.__new__(cls)
+        witness._vertices = None
+        witness._block = g, mask
+        return witness
+
+    @property
+    def vertices(self) -> tuple[int, int, int, int]:
+        if self._vertices is None:
+            self._vertices = _extract_p4(*self._block)
+            self._block = None
+        return self._vertices
+
+    def __eq__(self, other):
+        if not isinstance(other, P4Witness):
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __repr__(self):
+        return f"P4Witness(vertices={self.vertices!r})"
 
 
 class ClassMismatchError(GraphError):
@@ -117,7 +151,8 @@ def _is_cograph_block(g, mask):
 
 
 def _extract_p4(g, mask):
-    """Shrink a non-cograph block to exactly four vertices inducing a P4.
+    """Shrink a non-cograph block to exactly four vertices inducing a P4,
+    returned in path order.
 
     Every superset of a non-cograph set is a non-cograph, so a run of
     vertices whose removal leaves a non-cograph is dropped at once and a run
@@ -144,7 +179,7 @@ def _extract_p4(g, mask):
         v = next(bits(nxt))
         path.append(v)
         seen |= 1 << v
-    return P4Witness(tuple(path))
+    return tuple(path)
 
 
 def build_cotree(g: Graph):
@@ -158,7 +193,7 @@ def build_cotree(g: Graph):
         mask, holder, slot = stack.pop()
         kind, parts = _split(g, mask)
         if kind is None:
-            return _extract_p4(g, mask)
+            return P4Witness._in_block(g, mask)
         if kind == LEAF:
             node = CotreeNode(LEAF, vertex=next(bits(mask)))
         else:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
-from operator import le
+from collections import deque
+from functools import partial
+from operator import le, setitem
 from typing import Iterable, Iterator
 
 # Vertex ids are capped so product constructions cannot silently explode.
@@ -280,8 +281,10 @@ def undominated(items: Iterable, key, costs) -> list:
 # Every text parser of the package reads its lines through read_lines and
 # its integers through parse_ints: '#' starts a comment anywhere in every
 # format, DIMACS and PACE files also skip 'c' lines. parse reads slices of
-# plain edge lines by one regex match and one json decode instead, and every
-# other slice as the rule says.
+# plain edge lines by one digit-deleting translate and one json decode
+# instead, and every other slice as the rule says. When an n x n byte
+# matrix is no larger than the text, parse scatters the edges into it in C
+# rather than OR-ing each into a row mask in a Python loop step.
 
 EDGE_LIST = "edge-list"
 DIMACS = "dimacs"
@@ -296,11 +299,13 @@ EDGE_SLICE = 1 << 16
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _TO_NEWLINE = dict.fromkeys(map(ord, _OTHER_BREAKS), "\n")
 
-# a slice of plain edge lines: "u v" ("e u v" in DIMACS) in ASCII digits
-# with single spaces, no comment, blank line, sign or other whitespace
-_PLAIN_EDGE_LIST = re.compile(r"(?:[0-9]+ [0-9]+\n)*[0-9]+ [0-9]+")
-_PLAIN_DIMACS = re.compile(r"(?:e [0-9]+ [0-9]+\n)*e [0-9]+ [0-9]+")
+# a slice of plain edge lines, "u v" ("e u v" in DIMACS) in ASCII digits
+# with single spaces, has no comment, blank line, sign or other whitespace,
+# so without its digits it is " " ("e  ") lines joined by line breaks
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
+# the byte of an edge in the matrix; every other byte is b"0"
+_EDGE = ord("1")
 
 
 def read_lines(text: str, c_comments: bool = False) -> Iterator[tuple[int, list[str]]]:
@@ -330,10 +335,16 @@ def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
 
     The header is found line by line. The rest of the text is read in slices
     of about EDGE_SLICE characters cut at line breaks. A slice of plain edge
-    lines is checked by one regex match and decoded into ints by one json
+    lines is recognised by one translate and decoded into ints by one json
     call; any other slice (a comment, a blank line, other whitespace, a
     number json or int() refuses, or a bad edge) is read line by line, so an
     error names its line. Line numbers are those of str.splitlines.
+
+    When n * n is at most the length of the text, each edge (u, v) sets byte
+    u * n + v of an n x n matrix of b"0" to b"1" through a C-level map, and
+    row v is read back as the binary numbers of its row and its column; the
+    bound is the text's length, not the header's m, so a header cannot make
+    the matrix large. Other graphs OR each edge into two row masks.
     """
     if fmt not in (EDGE_LIST, DIMACS):
         raise FormatError(f"unknown format {fmt!r}")
@@ -341,7 +352,14 @@ def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
     if any(map(text.__contains__, _OTHER_BREAKS)):
         text = text.replace("\r\n", "\n").translate(_TO_NEWLINE)
     header, start, n, m = _header(text, dimacs)
-    rows = [0] * n
+    if n * n <= len(text):
+        matrix = bytearray(b"0") * (n * n)
+        view = memoryview(matrix)
+        add = partial(_scatter, matrix, [view[v * n:v * n + n] for v in range(n)])
+    else:
+        matrix = None
+        rows = [0] * n
+        add = lambda us, vs: _add_edges(rows, zip(us, vs)) is None
     count = 0
     lineno = header + 1
     # a final line break ends the last line and starts none
@@ -352,17 +370,32 @@ def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
             cut = end
         chunk = text[start:cut]
         edges = _plain_edges(chunk, dimacs)
-        if edges is None or _add_edges(rows, zip(*edges)) is not None:
-            # not plain, or a bad edge stopped _add_edges: read line by line,
-            # which raises at the first bad line
+        if edges is None or not add(*edges):
+            # not plain, or a bad edge: read line by line, which raises at
+            # the first bad line
             edges = _edge_lines(chunk.split("\n"), lineno, n, dimacs)
-            _add_edges(rows, zip(*edges))
+            add(*edges)
         count += len(edges[0])
         lineno += chunk.count("\n") + 1
         start = cut + 1
     if count != m:
         raise FormatError(f"header declared {m} edges, found {count}", header)
-    return Graph._from_rows(rows)
+    if matrix is None:
+        return Graph._from_rows(rows)
+    return Graph._from_rows(int(matrix[v * n:v * n + n][::-1], 2) | int(matrix[v::n][::-1], 2)
+                            for v in range(n))
+
+
+def _scatter(matrix, rows, us, vs):
+    """Set byte v of rows[u], a view of the matrix, for each edge (u, v);
+    False when an id is n or more (the map stops there) or an edge set a
+    diagonal byte, a self-loop. Ids are never negative: the slice was plain
+    or read line by line."""
+    try:
+        deque(map(setitem, map(rows.__getitem__, us), vs, itertools.repeat(_EDGE)), 0)
+    except IndexError:
+        return False
+    return _EDGE not in matrix[::len(rows) + 1]
 
 
 def _header(text, dimacs):
@@ -400,13 +433,16 @@ def _header(text, dimacs):
 def _plain_edges(chunk, dimacs):
     """(us, vs) of a slice of plain edge lines, else None.
 
-    With its spaces and line breaks made commas, such a slice is one JSON
-    array of ints, which json decodes in C. json refuses a leading zero and
-    a number longer than int()'s digit limit; those slices, like the ones
-    the regex refuses, are read line by line. Edges are checked as they are
-    added to the rows.
+    Without its ASCII digits such a slice is one " " ("e  " in DIMACS) per
+    line, joined by line breaks, which one translate and one compare test.
+    With its spaces and line breaks made commas it is then one JSON array of
+    ints, which json decodes in C. json refuses an empty id (two separators
+    in a row), a leading zero and a number longer than int()'s digit limit;
+    those slices, like the ones the compare refuses, are read line by line.
+    Edges are checked as they are added.
     """
-    if not (_PLAIN_DIMACS if dimacs else _PLAIN_EDGE_LIST).fullmatch(chunk):
+    line = "e  " if dimacs else " "
+    if chunk.translate(_NO_DIGITS) != (line + "\n") * chunk.count("\n") + line:
         return None
     if dimacs:
         chunk = chunk[2:].replace("\ne ", "\n")

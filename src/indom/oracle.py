@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, GraphError, bits, dominates, is_independent, mask_from, mask_to_list
+from .graph import (Graph, GraphError, bits, dominates, is_independent, mask_from, mask_to_list,
+                    vertex_set)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def gamma_of_set(g: Graph, b) -> tuple[int, int]:
     Exact branch and bound: pick an undominated target with the fewest
     candidate dominators and branch on its closed neighborhood.
     """
-    b = mask_from(b)
+    b = vertex_set(g, b)
     if b == 0:
         return 0, 0
     closed = g.closed
@@ -94,7 +95,7 @@ def gamma_of_set(g: Graph, b) -> tuple[int, int]:
 
 def gamma_of_set_exhaustive(g: Graph, b) -> tuple[int, int]:
     """Independent second oracle: scan subsets by increasing size. n <= ~12."""
-    b = mask_from(b)
+    b = vertex_set(g, b)
     if b == 0:
         return 0, 0
     closed = g.closed

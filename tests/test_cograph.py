@@ -73,6 +73,19 @@ class TestBuildCotree:
         assert isinstance(result, P4Witness)
         assert result.vertices == (0, 1, 2, 3)
 
+    def test_p4_is_found_when_first_read(self, monkeypatch):
+        from indom import cograph
+
+        blocks = []
+        extract = cograph._extract_p4
+        monkeypatch.setattr(cograph, "_extract_p4",
+                            lambda g, mask: blocks.append(mask) or extract(g, mask))
+        result = build_cotree(cycle(5))
+        assert isinstance(result, P4Witness) and blocks == []
+        assert result == P4Witness((1, 2, 3, 4)) and blocks == [0b11111]
+        assert result.vertices == (1, 2, 3, 4) and len(blocks) == 1
+        assert repr(result) == "P4Witness(vertices=(1, 2, 3, 4))"
+
     def test_random_cographs_reconstruct(self):
         for seed in range(30):
             n = 5 + seed * 6

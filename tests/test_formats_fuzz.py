@@ -152,9 +152,8 @@ def _reference_parse(text, fmt):
 
 # every line break of str.splitlines
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-# ids of a 10-vertex graph written in ways json and int() read differently:
-# leading zeros, signs, underscores, non-ASCII digits, more digits than int()
-# converts
+# small ids written in ways json and int() read differently: leading zeros,
+# signs, underscores, non-ASCII digits, more digits than int() converts
 ODD_IDS = st.sampled_from(["00", "07", "+3", "-0", "-1", "1_0", "10", "\u0663", "\uff13",
                            "9" * 4301])
 GAPS = st.sampled_from([" ", " ", " ", "  ", "\t", " \x1f", "\xa0"])
@@ -166,7 +165,10 @@ JUNK = st.sampled_from(["1", "1 2 3", "e 1", "x 1 2", "p 10 1", "c note", "1 x"]
 def edge_texts(draw, fmt):
     """A header and drawn edge, note and junk lines joined by drawn line
     breaks. In some texts the drawn lines sit in a run of plain edge lines,
-    at its start or where it crosses from the first slice into the second."""
+    at its start or where it crosses from the first slice into the second.
+    The header's vertex count is drawn so that short texts fall on both
+    sides of parse's matrix rule (n * n at most the text's length); ids
+    stay 0-9, so with n = 3 many are out of range."""
     dimacs = fmt == "dimacs"
     notes = st.sampled_from(NOTES + ["c note"] if dimacs else NOTES)
     ids = st.one_of(st.integers(0, 9), ODD_IDS)
@@ -196,7 +198,8 @@ def edge_texts(draw, fmt):
         lines = run[:at] + lines + run[at:]
         m += len(run)
     m += draw(st.sampled_from([0, 0, 0, 1, -1]))
-    header = draw(st.sampled_from([f"p 10 {m}", f"p name 10 {m}"] if dimacs else [f"10 {m}"]))
+    n = draw(st.sampled_from([3, 10, 40]))
+    header = draw(st.sampled_from([f"p {n} {m}", f"p name {n} {m}"] if dimacs else [f"{n} {m}"]))
     lines[:0] = draw(st.lists(notes, max_size=2)) + [header]
     breaks = [draw(st.sampled_from(["\n", "\n", "\r\n", *BREAKS]))] * len(lines)
     for _ in range(draw(st.integers(0, 3))):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -103,7 +104,8 @@ def test_negative_id_is_a_graph_error_naming_it(entry):
 def _out_of_range_calls():
     from indom.exactexp import gamma_of_independent_set_fast
     from indom.graph import is_independent
-    from indom.oracle import DominationCertificate, verify_certificate
+    from indom.oracle import (DominationCertificate, gamma_of_set, gamma_of_set_exhaustive,
+                              verify_certificate)
     from indom.planar import bfs_layering
 
     far = 1 << 9
@@ -117,6 +119,8 @@ def _out_of_range_calls():
         "bfs_layering": lambda g: bfs_layering(g, far),
         "gamma_of_independent_set_fast": lambda g: gamma_of_independent_set_fast(g, far),
         "verify_certificate": lambda g: verify_certificate(g, DominationCertificate(1, far, 1)),
+        "gamma_of_set": lambda g: gamma_of_set(g, far),
+        "gamma_of_set_exhaustive": lambda g: gamma_of_set_exhaustive(g, far),
     }
 
 
@@ -419,6 +423,33 @@ def test_rows_agree_with_edge_lists():
             sub, ids = induced_subgraph(g, s)
             assert ids == mask_to_list(s)
             assert sub == Graph(len(ids), _induced_edges(g, s))
+    # graphs on both sides of parse's matrix rule (n * n at most the text's
+    # length), with some edges written as "v u" and some twice
+    sides = set()
+    for n, p in [(60, 0.02), (60, 0.9), (120, 0.1), (150, 0.5), (200, 0.05), (200, 0.3),
+                 (300, 0.02), (300, 0.6)]:
+        g = gnp(n, p, rng.randrange(1000))
+        lines = [f"{v} {u}" if rng.random() < 0.3 else f"{u} {v}" for u, v in g.edges()]
+        lines += rng.sample(lines, len(lines) // 10)
+        rng.shuffle(lines)
+        for fmt, header, prefix in (("edge-list", "", ""), ("dimacs", "p ", "e ")):
+            text = "\n".join([f"{header}{n} {len(lines)}"] + [prefix + x for x in lines])
+            sides.add(n * n <= len(text))
+            assert parse(text, fmt) == g
+    assert sides == {False, True}
+
+
+def test_a_header_cannot_size_the_matrix():
+    # the text is 17 characters, so no n * n matrix is made for n = 3000,
+    # whatever m the header declares
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="header declared 2000000 edges, found 1"):
+            parse("3000 2000000\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 // 2
 
 
 # edge lines with 3-digit ids all have one width, so each slice, which ends
