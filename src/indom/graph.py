@@ -299,9 +299,10 @@ EDGE_SLICE = 1 << 16
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _TO_NEWLINE = dict.fromkeys(map(ord, _OTHER_BREAKS), "\n")
 
-# a slice of plain edge lines, "u v" ("e u v" in DIMACS) in ASCII digits
-# with single spaces, has no comment, blank line, sign or other whitespace,
-# so without its digits it is " " ("e  ") lines joined by line breaks
+# a slice of plain edge lines, "u v" in ASCII digits with single spaces
+# (after its "e " line starts in DIMACS), has no comment, blank line, sign
+# or other whitespace, so without its digits it is " " lines joined by
+# line breaks
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
 # the byte of an edge in the matrix; every other byte is b"0"
@@ -433,19 +434,22 @@ def _header(text, dimacs):
 def _plain_edges(chunk, dimacs):
     """(us, vs) of a slice of plain edge lines, else None.
 
-    Without its ASCII digits such a slice is one " " ("e  " in DIMACS) per
-    line, joined by line breaks, which one translate and one compare test.
-    With its spaces and line breaks made commas it is then one JSON array of
-    ints, which json decodes in C. json refuses an empty id (two separators
+    A DIMACS slice must start with "e ", and each "e " after a line break is
+    dropped with it; an "e" anywhere else stays and fails the next test.
+    Without its ASCII digits a plain slice is then one " " per line, joined
+    by line breaks, which one translate and one compare test. With its
+    spaces and line breaks made commas it is one JSON array of ints, which
+    json decodes in C. json refuses an empty id (two separators
     in a row), a leading zero and a number longer than int()'s digit limit;
     those slices, like the ones the compare refuses, are read line by line.
     Edges are checked as they are added.
     """
-    line = "e  " if dimacs else " "
-    if chunk.translate(_NO_DIGITS) != (line + "\n") * chunk.count("\n") + line:
-        return None
     if dimacs:
+        if not chunk.startswith("e "):
+            return None
         chunk = chunk[2:].replace("\ne ", "\n")
+    if chunk.translate(_NO_DIGITS) != " \n" * chunk.count("\n") + " ":
+        return None
     try:
         ends = json.loads(f"[{chunk.translate(_TO_COMMAS)}]")
     except ValueError:

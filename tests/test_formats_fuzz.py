@@ -158,7 +158,11 @@ ODD_IDS = st.sampled_from(["00", "07", "+3", "-0", "-1", "1_0", "10", "\u0663", 
                            "9" * 4301])
 GAPS = st.sampled_from([" ", " ", " ", "  ", "\t", " \x1f", "\xa0"])
 NOTES = ["", "  ", "\t", "# note", " # 1 2"]
-JUNK = st.sampled_from(["1", "1 2 3", "e 1", "x 1 2", "p 10 1", "c note", "1 x"])
+# the last three read as plain DIMACS lines once their digits are gone, and
+# json takes "1e1" and "1e400" for floats
+JUNK_LINES = ["1", "1 2 3", "e 1", "x 1 2", "p 10 1", "c note", "1 x",
+              "e12 3 4", "1e1 2 3", "1e400 2 3"]
+JUNK = st.sampled_from(JUNK_LINES)
 
 
 @st.composite
@@ -221,6 +225,22 @@ def _outcome(parser, text, fmt):
 def test_parse_agrees_with_a_line_by_line_reference(fmt, data):
     text = data.draw(edge_texts(fmt))
     assert _outcome(parse, text, fmt) == _outcome(_reference_parse, text, fmt)
+
+
+@pytest.mark.parametrize("n", [10, 300])  # the matrix, and row masks
+@pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+def test_junk_among_plain_lines_agrees_with_the_reference(fmt, n):
+    # a drawn text rarely has a slice of plain lines but for its junk line,
+    # so each junk line is put at the start of the first slice, after a
+    # plain line, and on the lines around the start of the second slice
+    prefix = "e " if fmt == "dimacs" else ""
+    span = EDGE_SLICE // (6 if prefix else 4)
+    run = [f"{prefix}{i % 9} {i % 9 + 1}" for i in range(span + 8)]
+    header = f"p {n} {len(run)}" if prefix else f"{n} {len(run)}"
+    for junk in JUNK_LINES:
+        for at in (0, 1, span - 1, span, span + 1, span + 2):
+            text = "\n".join([header, *run[:at], junk, *run[at:]])
+            assert _outcome(parse, text, fmt) == _outcome(_reference_parse, text, fmt)
 
 
 @st.composite

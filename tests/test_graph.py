@@ -491,6 +491,10 @@ class TestSlices:
         ("dimacs", "e 0 1 2", "expected edge 'e u v'"),
         ("dimacs", "x 0 1", "unknown directive 'x'"),
         ("dimacs", "p 300 5", "duplicate 'p' header"),
+        # as wide as the line they replace, so no padding makes them stand out
+        ("dimacs", "e123 45 6", "unknown directive 'e123'"),
+        ("dimacs", "1e1 200 3", "unknown directive '1e1'"),
+        ("dimacs", "1e400 2 3", "unknown directive '1e400'"),
     ])
     def test_error_past_the_first_slice_names_its_line(self, fmt, bad, message, slices, offset):
         lineno = slices * _per_slice(fmt) + offset
