@@ -395,12 +395,12 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 @dataclass(slots=True, eq=False)
 class _Item:
     alpha: int  # A inside the bag
-    table: list  # cost at d | w << |bag| in bag-local bits, INF if infeasible
+    table: list  # cost at d | w << |bag - alpha| in local bits, INF if infeasible
     members: int  # A in the whole subtree, forgotten vertices included
 
     def as_dict(self, bag):
         """The finite entries as {(D-in-bag mask, white mask): cost}."""
-        ds, ws = _subsets(bag), _subsets(self.alpha)
+        ds, ws = _subsets(bag & ~self.alpha), _subsets(self.alpha)
         return {
             (ds[i % len(ds)], ws[i // len(ds)]): c
             for i, c in enumerate(self.table) if c != INF
@@ -443,9 +443,9 @@ def _insert(x, p):
 
 
 def _introduce_map(a, b, p, seen):
-    """Introduce v at bag position p outside A. The source is the child's
-    table (2^(a+b) entries) followed by the same plus one: with v in D the
-    entry for white set w is the child's for w minus what v whitens, `seen`."""
+    """Introduce v outside A at D-position p. The source is the child's table
+    (2^(a+b) entries) followed by the same plus one: with v in D the entry
+    for white set w is the child's for w minus what v whitens, `seen`."""
     n = 1 << (a + b)
     out = []
     for w in range(1 << a):
@@ -454,34 +454,34 @@ def _introduce_map(a, b, p, seen):
     return out
 
 
-def _add_to_a_map(a, b, p, q, row):
-    """Introduce v at bag position p into A at position q. With v in D it is
-    white and pays one; otherwise it may be white only if a D-vertex of the
-    child's bag in `row` dominates it, and reads INF (index 2n) if not."""
+def _add_to_a_map(a, b, q, row, lone):
+    """Introduce v into A at position q, from the same source. v may be white
+    only if a D-vertex of the bag in `row` dominates it, or, `lone` (without
+    neighbors), by paying one to dominate itself; otherwise the entry reads
+    INF (index 2n)."""
     n = 1 << (a + b)
     out = []
     for w in range(2 << a):
         base = _drop(w, q) << b
-        free = not w >> q & 1
-        for d in range(2 << b):
-            rest = _drop(d, p)
-            if d >> p & 1:
-                out.append(n + base + rest)
-            else:
-                out.append(base + rest if free or rest & row else 2 * n)
+        if not w >> q & 1:
+            out += range(base, base + (1 << b))
+        elif lone:
+            out += range(n + base, n + base + (1 << b))
+        else:
+            out += [base + d if d & row else 2 * n for d in range(1 << b)]
     return out
 
 
-def _forget_map(a, b, p, q):
-    """Forget v at bag position p of b, at position q of A (-1 if v is not in
-    A). The first half reads v outside D, the second v in D; a forgotten
-    member of A is read as white."""
-    outside = []
-    for w in range(1 << (a - (q >= 0))):
-        if q >= 0:
-            w = _insert(w, q) | 1 << q
-        outside += [_insert(d, p) | w << b for d in range(1 << (b - 1))]
+def _forget_map(a, b, p):
+    """Forget v outside A at D-position p: the first half reads v outside D,
+    the second v in D."""
+    outside = [_insert(d, p) | w << (b + 1) for w in range(1 << a) for d in range(1 << b)]
     return outside + [i | 1 << p for i in outside]
+
+
+def _white_map(a, b, q):
+    """Forget v in A at position q: every entry reads v white."""
+    return [(_insert(w, q) | 1 << q) << b | d for w in range(1 << a) for d in range(1 << b)]
 
 
 class _MapCache:
@@ -524,35 +524,35 @@ class DPStats:
 
 
 def _planned_entries(g, node, kids):
-    """Table entries a node allocates before its bounded items are dropped,
-    from its children's shapes alone."""
-    b = node.bag.bit_count()
+    """Table entries a node allocates before its infeasible and bounded items
+    are dropped, from its children's items alone: 2^|bag| for each item it
+    builds."""
     if node.kind == LEAF:
         return 1
     if node.kind == JOIN:
         right = Counter(it.alpha for it in kids[1])
-        return sum(right[it.alpha] << (b + it.alpha.bit_count()) for it in kids[0])
-    total = 0
-    vb = 1 << node.vertex
-    for it in kids[0]:
-        a = it.alpha.bit_count()
-        if node.kind == FORGET:
-            total += 1 << (b + a - bool(it.alpha & vb))
-        else:
-            total += 1 << (b + a)
-            if not g.row[node.vertex] & it.alpha:
-                total += 2 << (b + a)
-    return total
+        count = sum(right[it.alpha] for it in kids[0])
+    elif node.kind == FORGET:
+        count = len(kids[0])
+    else:
+        row = g.row[node.vertex]
+        count = sum(2 - bool(row & it.alpha) for it in kids[0])
+    return count << node.bag.bit_count()
+
+
+def _feasible(item):
+    return min(item.table) < INF
 
 
 def _dp_nodes(g, nd, stats=None):
     """Yield (node index, items) for every nice node, children first. A
-    forget or a join drops, through graph.undominated, each item whose table
-    another item of its A-pattern bounds from above; closed tables are
-    canonical, so of equal cost functions one item stays. A node's items are
-    dropped once its parent is built, so only the tables of the frontier
-    stay live. A node that would allocate more than TABLE_BUDGET entries
-    raises CapacityError before it allocates any."""
+    forget or a join drops each item that is infeasible throughout and,
+    through graph.undominated, each whose table another item of its
+    A-pattern bounds from above; closed tables are canonical, so of equal
+    cost functions one item stays. A node's items are dropped once its
+    parent is built, so only the tables of the frontier stay live. A node
+    that would allocate more than TABLE_BUDGET entries raises CapacityError
+    before it allocates any."""
     if stats is None:
         stats = DPStats()
     stats.nice_nodes = len(nd.nodes)
@@ -571,12 +571,11 @@ def _dp_nodes(g, nd, stats=None):
             items = [_Item(0, [0], 0)]
         elif node.kind == INTRODUCE:
             items = _introduce(g, node, kids[0])
-        elif node.kind == FORGET:
-            items = undominated(_forget(node, kids[0]), attrgetter("alpha"), attrgetter("table"))
         else:
-            items = undominated(_join(node, *kids), attrgetter("alpha"), attrgetter("table"))
+            built = _forget(node, kids[0]) if node.kind == FORGET else _join(node, *kids)
+            items = undominated(filter(_feasible, built), attrgetter("alpha"), attrgetter("table"))
         live[idx] = items
-        entries = sizes[idx] = sum(len(it.table) for it in items)
+        entries = sizes[idx] = len(items) << node.bag.bit_count()
         live_entries += entries
         stats.max_items = max(stats.max_items, len(items))
         stats.max_entries = max(stats.max_entries, entries)
@@ -590,21 +589,25 @@ def _introduce(g, node, child_items):
     """Closed tables straight from closed child tables: the cheapest way to
     reach "at least w dominated" with v in D is the child entry for w minus
     what v dominates, so every entry is one gather and no minimum is taken.
-    Every child entry is copied, so items stay mutually unbounded and need
-    no filter; emitting each A-pattern's items before those that add v keeps
-    them grouped by A-pattern, as undominated leaves them."""
+    v joins A only outside D: swapping a member of A in D for one of its
+    neighbors still dominates it and dominates no other member, so some
+    minimum D holds no member of A with a neighbor, and one without pays one
+    to dominate itself. Every child entry is copied, so items stay mutually
+    unbounded and need no filter; emitting each A-pattern's items before
+    those that add v keeps them grouped by A-pattern, as undominated leaves
+    them."""
     v = node.vertex
     vb = 1 << v
     row = g.row[v]
-    b = node.bag.bit_count() - 1
-    p = _rank(node.bag, v)
-    row_local = _local(row, node.bag & ~vb)
     items = []
     for alpha, group in groupby(child_items, key=attrgetter("alpha")):
         a = alpha.bit_count()
+        others = node.bag & ~alpha
+        b = others.bit_count() - 1
         seen = row & alpha
-        keep = _maps.get(_introduce_map, a, b, p, _local(seen, alpha))
-        join_a = None if seen else _maps.get(_add_to_a_map, a, b, p, _rank(alpha, v), row_local)
+        keep = _maps.get(_introduce_map, a, b, _rank(others, v), _local(seen, alpha))
+        join_a = None if seen else _maps.get(_add_to_a_map, a, b, _rank(alpha, v),
+                                             _local(row, others & ~vb), not row)
         added = []
         for it in group:
             src = it.table + [c + 1 for c in it.table]
@@ -617,30 +620,36 @@ def _introduce(g, node, child_items):
 
 
 def _forget(node, child_items):
+    """A forgotten member of A is read as white; any other vertex takes the
+    cheaper of outside D and in D."""
     v = node.vertex
     vb = 1 << v
-    b = node.bag.bit_count() + 1
-    p = _rank(node.bag, v)
     items = []
-    for it in child_items:
-        q = _rank(it.alpha, v) if it.alpha & vb else -1
-        m = _maps.get(_forget_map, it.alpha.bit_count(), b, p, q)
-        both = [it.table[i] for i in m]
-        table = [x if x < y else y for x, y in zip(both, both[len(m) // 2:])]
-        if min(table) < INF:
-            items.append(_Item(it.alpha & ~vb, table, it.members))
+    for alpha, group in groupby(child_items, key=attrgetter("alpha")):
+        a = alpha.bit_count()
+        b = (node.bag & ~alpha).bit_count()
+        if alpha & vb:
+            m = _maps.get(_white_map, a - 1, b, _rank(alpha, v))
+            items += [_Item(alpha & ~vb, [it.table[i] for i in m], it.members) for it in group]
+            continue
+        m = _maps.get(_forget_map, a, b, _rank(node.bag & ~alpha, v))
+        half = len(m) // 2
+        for it in group:
+            both = [it.table[i] for i in m]
+            items.append(_Item(alpha, [x if x < y else y for x, y in zip(both, both[half:])],
+                               it.members))
     return items
 
 
 def _join(node, items1, items2):
     """Pairs of items with equal A-patterns. White set w is the block of
-    entries w << |bag| onwards, one entry per D-pattern, and each split of w
-    into disjoint w1 | w2 adds two whole blocks."""
-    size = 1 << node.bag.bit_count()
-    dominators = [d.bit_count() for d in range(size)]
+    entries w << |bag - A| onwards, one entry per D-pattern, and each split
+    of w into disjoint w1 | w2 adds two whole blocks."""
+    dominators = [d.bit_count() for d in range(1 << node.bag.bit_count())]
     by_alpha = {}
     for it in items2:
         t = it.table
+        size = 1 << (node.bag & ~it.alpha).bit_count()
         blocks = [t[i:i + size] for i in range(0, len(t), size)]
         by_alpha.setdefault(it.alpha, []).append((it, blocks))
     items = []
@@ -649,6 +658,7 @@ def _join(node, items1, items2):
         if not pairs:
             continue
         t = it1.table
+        size = 1 << (node.bag & ~it1.alpha).bit_count()
         # both sides count the bag's dominators
         left = [list(map(sub, t[i:i + size], dominators)) for i in range(0, len(t), size)]
         for it2, right in pairs:
@@ -661,8 +671,7 @@ def _join(node, items1, items2):
                     acc = [x if x < y else y
                            for x, y in zip(acc, map(add, left[w1], right[w ^ w1]))]
                 table += acc
-            if min(table) < INF:
-                items.append(_Item(it1.alpha, table, it1.members | it2.members))
+            items.append(_Item(it1.alpha, table, it1.members | it2.members))
     return items
 
 

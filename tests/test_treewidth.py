@@ -1,6 +1,8 @@
 import gc
 import random
 import sys
+import time
+from itertools import combinations
 
 import pytest
 
@@ -35,7 +37,7 @@ from indom.treewidth import (
 )
 from indom.dispatch import gamma_i
 from indom.graph import connected_components
-from indom.oracle import gamma_i_oracle
+from indom.oracle import gamma_i_oracle, gamma_of_set
 from indom.generators import cycle, gnp, grid, path, random_chordal, star
 from indom.planar import ptas_gamma_i
 from tests.conftest import cover_of, random_outerplanar, subsets_of
@@ -493,7 +495,7 @@ class TestChosenDecomposition:
 
 
 class TestNewlyAnswered:
-    """Grids min-fill cannot afford, answered on a path decomposition."""
+    """Grids with wide bags, answered within the table budget."""
 
     def test_six_row_grids(self):
         for rows, cols, expected in [(6, 10, 13), (6, 14, 18)]:
@@ -505,18 +507,30 @@ class TestNewlyAnswered:
             # the PTAS's guarantee at k = 3 brackets the exact value
             approx = ptas_gamma_i(g, 1 / 3)
             assert approx.k == 3 and (1 - 1 / 3) * value <= approx.value <= value
+        # min-fill's width-7 decomposition is affordable too
         g = grid(6, 10)
-        with pytest.raises(CapacityError, match="needs 4959744 table entries"):
-            gamma_i_treewidth(g, heuristic_decomposition(g))
+        fill_stats = DPStats()
+        assert gamma_i_treewidth(g, heuristic_decomposition(g), stats=fill_stats)[0] == 13
+        assert fill_stats.max_entries == 218_624
 
     def test_five_by_twenty_needs_smaller_tables(self):
         g = grid(5, 20)
         fill_stats = DPStats()
         assert gamma_i_treewidth(g, heuristic_decomposition(g), stats=fill_stats)[0] == 21
-        assert fill_stats.max_entries == 83_520
+        assert fill_stats.max_entries == 10_496
         algorithm, value, cert, extra = gamma_i(g)
         assert (algorithm, value) == ("treewidth", 21)
-        assert extra["stats"]["max_entries"] < 83_520
+        assert extra["stats"]["max_entries"] < 10_496
+
+    def test_seven_by_ten_at_width_seven(self):
+        g = grid(7, 10)
+        start = time.process_time()
+        algorithm, value, cert, extra = gamma_i(g)
+        elapsed = time.process_time() - start
+        assert (algorithm, value, extra["width"]) == ("treewidth", 15, 7)
+        assert extra["stats"]["max_entries"] == 166_656
+        assert verify_certificate(g, cert)
+        assert elapsed < 2.0, f"grid(7, 10) took {elapsed:.2f} s"
 
 
 def _subtree_vertices(nd):
@@ -531,7 +545,9 @@ def _subtree_vertices(nd):
 
 def _true_functions(g, gi, bag, alpha):
     """For each independent A in G_i with A∩bag == alpha, the query function
-    (D-in-bag, required-white-set) -> min |D| over D in G_i."""
+    (D-in-bag, required-white-set) -> min |D| over D in G_i that hold no
+    member of A with a neighbor in G; D-in-bag is then outside alpha."""
+    lone = sum(1 << v for v in range(g.n) if not g.row[v])
     functions = []
     for amask in subsets_of(gi):
         if amask & bag != alpha or not is_independent(g, amask):
@@ -539,9 +555,9 @@ def _true_functions(g, gi, bag, alpha):
         best = {}
         for dmask in subsets_of(gi):
             cover = cover_of(g, dmask)
-            if (amask & ~bag) & ~cover:
+            if dmask & amask & ~lone or (amask & ~bag) & ~cover:
                 continue
-            key = (dmask & bag, cover & alpha)
+            key = (dmask & bag & ~alpha, cover & alpha)
             c = dmask.bit_count()
             if key not in best or best[key] > c:
                 best[key] = c
@@ -563,6 +579,33 @@ def _fn_at_least(b, a):
     if not set(b) <= set(a):
         return False
     return all(b[k] >= a[k] for k in b)
+
+
+def _random_independent_set(g, rng):
+    """Each vertex in a random order joins when it has no neighbor inside yet
+    and a coin says so."""
+    a = 0
+    for v in rng.sample(range(g.n), g.n):
+        if not g.row[v] & a and rng.random() < 0.7:
+            a |= 1 << v
+    return a
+
+
+class TestSwapLemma:
+    def test_some_minimum_d_holds_no_member_of_a_with_a_neighbor(self):
+        """The bag DP keeps members of A with a neighbor out of D: a member
+        in D can be swapped for a neighbor, which still dominates it, and it
+        dominates no other member of the independent set A."""
+        rng = random.Random(28)
+        for case in range(300):
+            h = gnp(1 + case % 10, 0.1 + (case % 6) * 0.1, case)
+            g = Graph(h.n + case % 3, list(h.edges()))  # up to two more isolated vertices
+            a = _random_independent_set(g, rng)
+            allowed = [v for v in range(g.n) if not a >> v & 1 or not g.row[v]]
+            least = next(k for k in range(g.n + 1)
+                         if any(not a & ~cover_of(g, mask_from(d))
+                                for d in combinations(allowed, k)))
+            assert gamma_of_set(g, a)[0] == least, case
 
 
 class TestPerNodeTableOracle:
@@ -620,8 +663,9 @@ class TestClosedTables:
 
 
 def _reference_dp_nodes(g, nd):
-    """The bag DP with dict tables {(D-in-bag mask, white mask): cost}: yield
-    (node index, [(alpha, members, table)]) for every nice node."""
+    """The bag DP with dict tables {(D-in-bag mask, white mask): cost}, D in
+    the bag outside alpha: yield (node index, [(alpha, members, table)]) for
+    every nice node."""
     done = {}
     for idx, node in enumerate(nd.nodes):
         kids = [done.pop(c) for c in node.children]
@@ -643,13 +687,12 @@ def _reference_dp_nodes(g, nd):
                         for b in whitened:
                             table[dm | vb, wm | b] = c + 1
                 items.append((alpha, members, table))
-                if not seen:
+                if not seen:  # v joins A outside D; without neighbors it pays one
                     table = {}
                     for (dm, wm), c in child.items():
                         table[dm, wm] = c
-                        if dm & row:
-                            table[dm, wm | vb] = c
-                        table[dm | vb, wm] = table[dm | vb, wm | vb] = c + 1
+                        if dm & row or not row:
+                            table[dm, wm | vb] = c + (not row)
                     items.append((alpha | vb, members | vb, table))
         elif node.kind == "forget":
             for alpha, members, child in kids[0]:
@@ -711,6 +754,36 @@ class TestDenseTables:
         monkeypatch.setattr(treewidth, "_maps", cache)
         assert gamma_i_treewidth(g) == expected
         assert 0 < cache.size == sum(map(len, cache.maps.values())) <= 200
+
+    def test_planned_entries_are_the_entries_each_node_allocates(self, monkeypatch):
+        built = []
+
+        def counted(step):
+            def run(*args):
+                items = step(*args)
+                built.append(sum(len(it.table) for it in items))
+                return items
+            return run
+
+        for name in ("_introduce", "_forget", "_join"):
+            monkeypatch.setattr(treewidth, name, counted(getattr(treewidth, name)))
+        planned = []
+        plan = treewidth._planned_entries
+        monkeypatch.setattr(treewidth, "_planned_entries",
+                            lambda *args: planned.append(plan(*args)) or planned[-1])
+        graphs = [gnp(4 + seed % 12, 0.1 + (seed % 5) * 0.08, seed) for seed in range(40)]
+        graphs += [grid(3, 5), grid(4, 5), grid(5, 5)]
+        graphs += [random_chordal(8 + seed, seed) for seed in range(12)]
+        for g in graphs:
+            nd = make_nice(choose_decomposition(g))
+            built.clear()
+            planned.clear()
+            for idx, items in _dp_nodes(g, nd):
+                node = nd.nodes[idx]
+                if node.kind == "leaf":
+                    built.append(1)
+                assert all(len(it.table) == 1 << node.bag.bit_count() for it in items)
+            assert planned == built
 
     def test_budget_refused_before_allocation(self, monkeypatch):
         g = grid(4, 6)
