@@ -1,22 +1,26 @@
 """Tree decompositions and the bag dynamic program for gamma-i.
 
 A bag vertex can be outside the pair (A, D), in A and still undominated
-(gray), in A and dominated (white), in D only, or in both A and D (which
-makes it white immediately; self-domination is how isolated members of A
-ever get dominated). The DP keeps, per class of independent sets A, a cost
-table mapping (D-in-bag pattern, dominated subset of A-in-bag) to the
-minimum number of dominators spent so far. Keeping the whole table per
-A-class is what lets the root take a maximum over A of a minimum over D;
-a flat boolean table over counts cannot, because independent sets of equal
-size with different domination costs would be merged.
+(gray), in A and dominated (white), or in D. No member of A needs to be in
+D: for an independent A, a member in D with a neighbor can be swapped for
+that neighbor, which still dominates it, while the member dominates no other
+member of A. So some minimum D holds no member of A with a neighbor, and a
+member without one pays one to dominate itself, which turns it white. The
+DP keeps, per class of independent sets A, a cost table mapping (D-in-bag
+pattern, dominated subset of A-in-bag) to the minimum number of dominators
+spent so far. Keeping the whole table per A-class is what lets the root take
+a maximum over A of a minimum over D; a flat boolean table over counts
+cannot, because independent sets of equal size with different domination
+costs would be merged.
 
-Tables are dense lists in bag-local bits. With the bag's vertices and the
-item's A-vertices each in increasing id order, the entry for D-pattern d and
-white set w sits at index d | w << |bag|, so every white set owns one block
-of 2^|bag| entries, one per D-pattern. An infeasible entry holds INF. Each
-step is a few whole-list passes: introduce and forget gather through index
-maps that depend only on a table's shape and are kept, up to a bound, for
-the next node of that shape; join adds whole blocks.
+Tables are dense lists in local bits. With the bag's vertices outside A and
+the item's A-vertices each in increasing id order, the entry for D-pattern d
+and white set w sits at index d | w << |bag - A|, so every table holds
+2^|bag| entries and every white set owns one block of them, one per
+D-pattern. An infeasible entry holds INF. Each step is a few whole-list
+passes: introduce gathers through index maps that depend only on a table's
+shape and are kept, up to a bound, for the next node of that shape; forget
+reads runs of slices; join adds whole blocks.
 
 Tables are closed under white subsets: entry (d, w) costs at least entry
 (d, w') for every w' inside w. An entry reads "at least w dominated" and
@@ -50,8 +54,8 @@ from .exactexp import gamma_of_independent_set_fast
 
 DEFAULT_WIDTH_CEILING = 12
 INF = float("inf")  # cost of an infeasible table entry
-# Most table entries one nice node may allocate. Width-7 instances need about
-# 1.1 M; refusing beyond this ends a call before its tables exhaust memory.
+# Most table entries one nice node may allocate. Width-7 grids need at most
+# about 0.4 M; refusing beyond this ends a call before its tables exhaust memory.
 TABLE_BUDGET = 1 << 22
 MAP_CACHE_ENTRIES = 1 << 18  # most index-map entries kept between nodes
 
@@ -422,7 +426,13 @@ def _rank(mask, v):
 
 def _local(mask, within):
     """mask restricted to within, with each bit renumbered by its rank."""
-    return sum(1 << _rank(within, u) for u in bits(mask & within))
+    out = 0
+    mask &= within
+    while mask:
+        low = mask & -mask
+        out |= 1 << (within & (low - 1)).bit_count()
+        mask ^= low
+    return out
 
 
 def _drop(x, p):
@@ -430,16 +440,12 @@ def _drop(x, p):
     return (x & ((1 << p) - 1)) | (x >> (p + 1)) << p
 
 
-def _insert(x, p):
-    """x with a zero bit put in at position p."""
-    return (x & ((1 << p) - 1)) | (x >> p) << (p + 1)
-
-
-# An index map lists source positions: a step builds its table as
-# [src[i] for i in m]. Maps depend only on a table's shape (bag size, A size,
-# the positions of the vertex and a small local pattern), never on the
-# instance, so one built for a shape serves every later node and call of that
-# shape. The cache keeps them as tuples, up to MAP_CACHE_ENTRIES in all.
+# An index map lists source positions: introduce builds a table as
+# [src[i] for i in m]. Maps depend only on a table's shape (the numbers of
+# D-positions and of A-members, the vertex's position and a small local
+# pattern), never on the instance, so one built for a shape serves every
+# later node and call of that shape. The cache keeps them as tuples, up to
+# MAP_CACHE_ENTRIES in all.
 
 
 def _introduce_map(a, b, p, seen):
@@ -470,18 +476,6 @@ def _add_to_a_map(a, b, q, row, lone):
         else:
             out += [base + d if d & row else 2 * n for d in range(1 << b)]
     return out
-
-
-def _forget_map(a, b, p):
-    """Forget v outside A at D-position p: the first half reads v outside D,
-    the second v in D."""
-    outside = [_insert(d, p) | w << (b + 1) for w in range(1 << a) for d in range(1 << b)]
-    return outside + [i | 1 << p for i in outside]
-
-
-def _white_map(a, b, q):
-    """Forget v in A at position q: every entry reads v white."""
-    return [(_insert(w, q) | 1 << q) << b | d for w in range(1 << a) for d in range(1 << b)]
 
 
 class _MapCache:
@@ -589,13 +583,11 @@ def _introduce(g, node, child_items):
     """Closed tables straight from closed child tables: the cheapest way to
     reach "at least w dominated" with v in D is the child entry for w minus
     what v dominates, so every entry is one gather and no minimum is taken.
-    v joins A only outside D: swapping a member of A in D for one of its
-    neighbors still dominates it and dominates no other member, so some
-    minimum D holds no member of A with a neighbor, and one without pays one
-    to dominate itself. Every child entry is copied, so items stay mutually
-    unbounded and need no filter; emitting each A-pattern's items before
-    those that add v keeps them grouped by A-pattern, as undominated leaves
-    them."""
+    v joins A outside D, and pays one to dominate itself if it has no
+    neighbor (see the module docstring). Every child entry is copied, so
+    items stay mutually unbounded and need no filter; emitting each
+    A-pattern's items before those that add v keeps them grouped by
+    A-pattern, as undominated leaves them."""
     v = node.vertex
     vb = 1 << v
     row = g.row[v]
@@ -621,24 +613,34 @@ def _introduce(g, node, child_items):
 
 def _forget(node, child_items):
     """A forgotten member of A is read as white; any other vertex takes the
-    cheaper of outside D and in D."""
+    cheaper of outside D and in D. Either way the entries kept are those
+    whose index has v's bit set or clear, read as runs of slices."""
     v = node.vertex
     vb = 1 << v
     items = []
     for alpha, group in groupby(child_items, key=attrgetter("alpha")):
-        a = alpha.bit_count()
-        b = (node.bag & ~alpha).bit_count()
+        others = node.bag & ~alpha
         if alpha & vb:
-            m = _maps.get(_white_map, a - 1, b, _rank(alpha, v))
-            items += [_Item(alpha & ~vb, [it.table[i] for i in m], it.members) for it in group]
+            run = 1 << (_rank(alpha, v) + others.bit_count())
+            items += [_Item(alpha & ~vb, _runs(it.table, run, run), it.members) for it in group]
             continue
-        m = _maps.get(_forget_map, a, b, _rank(node.bag & ~alpha, v))
-        half = len(m) // 2
+        run = 1 << _rank(others, v)
         for it in group:
-            both = [it.table[i] for i in m]
-            items.append(_Item(alpha, [x if x < y else y for x, y in zip(both, both[half:])],
-                               it.members))
+            t = it.table
+            table = [x if x < y else y for x, y in zip(_runs(t, run, 0), _runs(t, run, run))]
+            items.append(_Item(alpha, table, it.members))
     return items
+
+
+def _runs(t, run, start):
+    """The entries of t whose index has the bit of value `run` clear (start
+    0) or set (start `run`), in order."""
+    if run == 1:
+        return t[start::2]
+    out = []
+    for i in range(start, len(t), 2 * run):
+        out += t[i:i + run]
+    return out
 
 
 def _join(node, items1, items2):
