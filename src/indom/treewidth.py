@@ -54,8 +54,9 @@ from .exactexp import gamma_of_independent_set_fast
 
 DEFAULT_WIDTH_CEILING = 12
 INF = float("inf")  # cost of an infeasible table entry
-# Most table entries one nice node may allocate. Width-7 grids need at most
-# about 0.4 M; refusing beyond this ends a call before its tables exhaust memory.
+# Most table entries one nice node may allocate. Width-7 grid decompositions
+# need up to about 0.3 M; refusing beyond this ends a call before its tables
+# exhaust memory.
 TABLE_BUDGET = 1 << 22
 MAP_CACHE_ENTRIES = 1 << 18  # most index-map entries kept between nodes
 
@@ -594,12 +595,12 @@ def _introduce(g, node, child_items):
     items = []
     for alpha, group in groupby(child_items, key=attrgetter("alpha")):
         a = alpha.bit_count()
-        others = node.bag & ~alpha
-        b = others.bit_count() - 1
+        others = node.bag & ~alpha & ~vb  # the child's D-positions
+        b = others.bit_count()
         seen = row & alpha
         keep = _maps.get(_introduce_map, a, b, _rank(others, v), _local(seen, alpha))
         join_a = None if seen else _maps.get(_add_to_a_map, a, b, _rank(alpha, v),
-                                             _local(row, others & ~vb), not row)
+                                             _local(row, others), not row)
         added = []
         for it in group:
             src = it.table + [c + 1 for c in it.table]
