@@ -12,6 +12,8 @@ from .graph import (
     Graph,
     GraphError,
     FormatError,
+    ClassMismatchError,
+    CapacityError,
     build_graph,
     bits,
     mask_from,
@@ -40,7 +42,6 @@ from .oracle import (
 from .cograph import (
     Cotree,
     P4Witness,
-    ClassMismatchError,
     build_cotree,
     is_cograph,
     cotree_to_graph,
@@ -74,7 +75,6 @@ from .permutation import (
 )
 from .treewidth import (
     TreeDecomposition,
-    CapacityError,
     DPStats,
     validate_decomposition,
     heuristic_decomposition,

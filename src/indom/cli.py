@@ -17,6 +17,7 @@ import sys
 
 from . import generators
 from .graph import (
+    ClassMismatchError,
     FormatError,
     Graph,
     GraphError,
@@ -36,7 +37,6 @@ from .oracle import (
     verify_certificate,
 )
 from .cograph import (
-    ClassMismatchError,
     Cotree,
     P4Witness,
     parse_cotree,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
+    ClassMismatchError,
     Graph,
     GraphError,
     FormatError,
@@ -95,14 +96,6 @@ class P4Witness:
 
     def __repr__(self):
         return f"P4Witness(vertices={self.vertices!r})"
-
-
-class ClassMismatchError(GraphError):
-    """Input is outside the graph class a solver was forced onto."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _split(g, mask):

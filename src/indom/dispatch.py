@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-from .graph import Graph, GraphError
-from .cograph import (ClassMismatchError, P4Witness, build_cotree, cotree_to_graph,
-                      gamma_cograph, gamma_i_cograph)
+from .graph import CapacityError, ClassMismatchError, Graph, GraphError
+from .cograph import P4Witness, build_cotree, cotree_to_graph, gamma_cograph, gamma_i_cograph
 from .distance_hereditary import (DHFailure, DHStats, build_dh_decomposition, gamma_i_dh,
                                   recognize_dh)
 from .permutation import diagram_to_graph, gamma_i_permutation
-from .treewidth import (DEFAULT_WIDTH_CEILING, CapacityError, DPStats, choose_decomposition,
-                        gamma_i_treewidth, validate_decomposition)
+from .treewidth import (DEFAULT_WIDTH_CEILING, DPStats, choose_decomposition, gamma_i_treewidth,
+                        validate_decomposition)
 from .exactexp import DEFAULT_BETA, DEFAULT_CEILING, gamma_i_exact
 
 ALGORITHMS = ("auto", "cograph", "dh", "permutation", "treewidth", "exact")
@@ -31,8 +30,10 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
 
     "auto" climbs the ladder; any other name in ALGORITHMS forces that solver,
     which raises if it refuses g (ClassMismatchError with a witness for a
-    wrong class). A given cotree, diagram or tree decomposition must be g's,
-    whichever class answers, or GraphError is raised."""
+    wrong class, CapacityError above a ceiling or budget). When the treewidth
+    and exact solvers both refuse, the CapacityError quotes both reasons. A
+    given cotree, diagram or tree decomposition must be g's, whichever class
+    answers, or GraphError is raised."""
     if algo not in ALGORITHMS:
         raise GraphError(f"unknown algorithm {algo!r}, expected one of {', '.join(ALGORITHMS)}")
     if cotree is not None and cotree_to_graph(cotree) != g:
@@ -81,8 +82,8 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
             refused = exc
     try:
         value, cert, stats = gamma_i_exact(g, beta=beta, ceiling=exact_ceiling)
-    except GraphError as exc:
+    except CapacityError as exc:
         if refused is None:
             raise
-        raise GraphError(f"{exc}; treewidth solver: {refused}") from None
+        raise CapacityError(f"{exc}; treewidth solver: {refused}") from None
     return "exact", value, cert, {"stats": asdict(stats)}

@@ -38,9 +38,10 @@ import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .graph import Graph, GraphError, FormatError, bits, parse_ints, read_lines, undominated
+from .graph import (ClassMismatchError, Graph, GraphError, FormatError, bits, parse_ints,
+                    read_lines, undominated)
 from .oracle import DominationCertificate
-from .cograph import JOIN, UNION, ClassMismatchError
+from .cograph import JOIN, UNION
 
 INF = 10**9  # cost of an infeasible value-DP slot
 PENDANT = "pendant"

@@ -28,8 +28,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import (Graph, GraphError, bits, closed_neighborhood, is_independent, mask_from,
-                    vertex_set)
+from .graph import (CapacityError, Graph, GraphError, bits, closed_neighborhood, is_independent,
+                    mask_from, vertex_set)
 from .oracle import DominationCertificate
 
 DEFAULT_BETA = 0.6827
@@ -326,7 +326,7 @@ def gamma_i_exact(
     if not 0 <= beta <= 1:
         raise GraphError(f"beta must be a number in [0, 1], got {beta}")
     if g.n > ceiling:
-        raise GraphError(f"n={g.n} above the exact-solver ceiling {ceiling}")
+        raise CapacityError(f"n={g.n} above the exact-solver ceiling {ceiling}")
     stats = BranchStats()
     best_value = 0
     best_cert = DominationCertificate(0, 0, 0)

@@ -1,4 +1,5 @@
-"""Core graph type, set algebra, products and file formats.
+"""Core graph type, set algebra, products, file formats and the package's
+error types.
 
 Vertex sets are plain Python ints used as bit masks over 0..n-1, so all
 set operations (union, intersection, domination checks) are word-parallel.
@@ -30,6 +31,18 @@ class FormatError(GraphError):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.message = message
         self.line = line
+
+
+class ClassMismatchError(GraphError):
+    """Input is outside the graph class a solver was forced onto."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class CapacityError(GraphError):
+    """Instance exceeds a configured resource ceiling."""
 
 
 def mask_from(vertices: Iterable[int] | int) -> int:

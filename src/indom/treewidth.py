@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import add, attrgetter, sub
 
-from .graph import (MAX_VERTICES, Graph, GraphError, FormatError, bits, mask_from,
-                    mask_to_list, parse_ints, read_lines, undominated)
+from .graph import (MAX_VERTICES, CapacityError, Graph, GraphError, FormatError, bits,
+                    mask_from, mask_to_list, parse_ints, read_lines, undominated)
 from .oracle import DominationCertificate
 from .exactexp import gamma_of_independent_set_fast
 
@@ -59,10 +59,6 @@ INF = float("inf")  # cost of an infeasible table entry
 # exhaust memory.
 TABLE_BUDGET = 1 << 22
 MAP_CACHE_ENTRIES = 1 << 18  # most index-map entries kept between nodes
-
-
-class CapacityError(GraphError):
-    """Instance exceeds a configured resource ceiling."""
 
 
 @dataclass

@@ -13,6 +13,7 @@ from indom import cograph, dispatch
 from indom.cli import main
 from indom.generators import cycle, gnp, grid, path, random_cograph
 from indom.graph import Graph, parse, serialize
+from indom.oracle import DominationCertificate
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -188,6 +189,18 @@ class TestGammaI:
         assert code == 2
         assert "ceiling" in reports[0]["error"]
 
+    def test_failed_replay_reports_verified_false_and_exits_1(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # D = {0} does not dominate vertex 2 of A = {0, 2} in C5
+        bad = DominationCertificate(0b101, 0b1, 1)
+        monkeypatch.setattr("indom.cli.gamma_i", lambda g, *args, **kw: ("exact", 1, bad, {}))
+        target = write_graph(tmp_path, cycle(5))
+        code, reports = run(capsys, ["gamma-i", target, "--certify"])
+        assert code == 1
+        assert len(reports) == 1
+        assert reports[0]["verified"] is False
+        assert reports[0]["certificate"] == bad.as_dict()
+
     def test_cograph_is_recognised_once(self, tmp_path, capsys, monkeypatch):
         run(capsys, ["gen", "random_cograph(9)", "--seed", "4",
                      "-o", str(tmp_path / "g.txt"), "--artifact-out", str(tmp_path / "t.txt")])
@@ -295,6 +308,13 @@ class TestBadFlags:
         code, reports = run(capsys, ["ptas", target, "--epsilon", "1e-320"])
         assert code == 2
         assert len(reports) == 1 and "epsilon" in reports[0]["error"]
+
+    @pytest.mark.parametrize("epsilon", ["0", "1"])
+    def test_ptas_epsilon_outside_the_open_unit_interval(self, tmp_path, capsys, epsilon):
+        target = write_graph(tmp_path, grid(3, 3))
+        code, reports = run(capsys, ["ptas", target, "--epsilon", epsilon])
+        assert code == 2
+        assert reports == [{"error": "epsilon must be in (0, 1)"}]
 
     @pytest.mark.parametrize("beta", ["nan", "-5"])
     def test_beta_outside_unit_interval(self, tmp_path, capsys, beta):

@@ -41,20 +41,27 @@ class TestRefusals:
         monkeypatch.setattr(treewidth, "TABLE_BUDGET", 8)
         with pytest.raises(CapacityError, match="budget of 8"):
             gamma_i(grid(3, 3), "treewidth")
-        with pytest.raises(GraphError, match="ceiling 4; treewidth solver: .*budget of 8"):
+        with pytest.raises(CapacityError, match="ceiling 4; treewidth solver: .*budget of 8"):
             gamma_i(grid(3, 3), exact_ceiling=4)
         assert gamma_i(grid(3, 3))[0] == "exact"
 
     def test_exact_ceiling_chained_with_the_treewidth_refusal(self):
         message = ("n=7 above the exact-solver ceiling 3; "
                    "treewidth solver: decomposition width 2 exceeds ceiling 1")
-        with pytest.raises(GraphError) as info:
+        with pytest.raises(CapacityError) as info:
             gamma_i(cycle(7), width_ceiling=1, exact_ceiling=3)
         assert str(info.value) == message
         # forced, the exact solver gives its own reason alone
-        with pytest.raises(GraphError) as info:
+        with pytest.raises(CapacityError) as info:
             gamma_i(cycle(7), "exact", width_ceiling=1, exact_ceiling=3)
         assert str(info.value) == "n=7 above the exact-solver ceiling 3"
+
+    def test_bad_input_to_the_exact_rung_is_not_reworded(self):
+        # the treewidth rung refuses first; the bad beta is the only error
+        with pytest.raises(GraphError) as info:
+            gamma_i(gnp(30, 0.4, 1), beta=2, width_ceiling=3)
+        assert str(info.value) == "beta must be a number in [0, 1], got 2"
+        assert not isinstance(info.value, CapacityError)
 
     def test_mismatched_cotree(self):
         other = random_cograph(6, 1).artifact

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from indom import Graph, GraphError, build_graph, mask_from, verify_certificate, dominates
+from indom import (CapacityError, Graph, GraphError, build_graph, mask_from, verify_certificate,
+                   dominates)
 from indom.exactexp import (
     DEFAULT_BETA,
     BranchStats,
@@ -249,10 +250,12 @@ class TestGammaIExact:
         assert math.isclose(DEFAULT_BETA, 0.6827)
 
     def test_refusals_raise_graph_errors(self):
-        with pytest.raises(GraphError, match="above the exact-solver ceiling 3"):
-            gamma_i_exact(cycle(5), ceiling=3)
-        with pytest.raises(GraphError, match="beta"):
+        with pytest.raises(CapacityError, match=r"^n=7 above the exact-solver ceiling 3$"):
+            gamma_i_exact(cycle(7), ceiling=3)
+        # a bad beta is bad input, not a refusal
+        with pytest.raises(GraphError, match="beta") as info:
             gamma_i_exact(cycle(5), beta=2)
+        assert not isinstance(info.value, CapacityError)
 
     def test_branch_growth_sanity(self):
         # crude log fit: nodes should grow no faster than an exponential with

@@ -5,6 +5,7 @@ from operator import itemgetter
 
 import pytest
 
+import indom
 from indom import (
     Graph,
     GraphError,
@@ -184,6 +185,15 @@ def test_undominated_matches_its_definition(vector):
             equal += len({(key(it), tuple(it[2])) for it in items}) < len(items)
             bounded += len(kept) < len({(key(it), tuple(it[2])) for it in items})
     assert equal > 100 and bounded > 100
+
+
+def test_error_types_are_defined_once_in_graph():
+    assert indom.CapacityError is indom.graph.CapacityError is indom.treewidth.CapacityError
+    assert indom.CapacityError is indom.exactexp.CapacityError
+    assert (indom.ClassMismatchError is indom.graph.ClassMismatchError
+            is indom.cograph.ClassMismatchError)
+    for error in (indom.CapacityError, indom.ClassMismatchError, indom.FormatError):
+        assert issubclass(error, indom.GraphError)
 
 
 def test_complement_c4_is_2k2():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from indom import Graph, GraphError, bits, verify_certificate
+from indom import CapacityError, Graph, GraphError, bits, verify_certificate
 from indom.planar import Layering, bfs_layering, ptas_gamma_i, shifted_subgraph
 from indom.exactexp import gamma_of_independent_set_fast
 from indom.oracle import gamma_i_oracle
@@ -189,6 +189,11 @@ class TestPtas:
         # an oracle cross-check of the combination search on random inputs
         out += [(f"outer{s}", random_outerplanar(5 + s % 10, s)) for s in range(100, 140)]
         return out
+
+    def test_refused_piece_names_its_root_and_shift(self):
+        with pytest.raises(CapacityError) as info:
+            ptas_gamma_i(grid(4, 4), 0.34, width_ceiling=0)
+        assert str(info.value) == "piece (root 0, shift 1): decomposition width 1 exceeds ceiling 0"
 
     def test_empty_graph(self):
         res = ptas_gamma_i(Graph(0), 0.5)
