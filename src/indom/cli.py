@@ -176,6 +176,8 @@ def _witness_dict(witness):
 
 
 def cmd_oracle(args):
+    if args.set is not None and args.what != "gamma-set":
+        raise GraphError(f"--set applies to gamma-set only, not to {args.what}")
     g = _load_graph(args)
     if args.what == "gamma-i":
         value, cert = gamma_i_oracle(g)
@@ -326,7 +328,12 @@ def cmd_product_check(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise GraphError, so they end as a JSON error line."""
+    """Usage errors raise GraphError, so they end as a JSON error line. Flags
+    are matched whole, here and in every subcommand: "--eps" is no flag."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         raise GraphError(f"{self.prog}: {message}")

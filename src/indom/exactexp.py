@@ -311,6 +311,12 @@ def _maximal_independent_sets(g):
         stack += reversed(children)
 
 
+def check_beta(beta: float):
+    """GraphError unless beta is a number in [0, 1] (nan is not)."""
+    if not 0 <= beta <= 1:
+        raise GraphError(f"beta must be a number in [0, 1], got {beta}")
+
+
 def gamma_i_exact(
     g: Graph,
     beta: float = DEFAULT_BETA,
@@ -323,8 +329,7 @@ def gamma_i_exact(
     no larger than the running maximum is skipped, and the branching route
     gets the running maximum as its cutoff.
     """
-    if not 0 <= beta <= 1:
-        raise GraphError(f"beta must be a number in [0, 1], got {beta}")
+    check_beta(beta)
     if g.n > ceiling:
         raise CapacityError(f"n={g.n} above the exact-solver ceiling {ceiling}")
     stats = BranchStats()

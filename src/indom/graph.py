@@ -254,7 +254,7 @@ def edge_clique_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     clique of g: a shared endpoint plus a triangle, or two disjoint edges
     whose four endpoints induce a K4.
     """
-    edge_list = sorted(g.edges())
+    edge_list = list(g.edges())
     index = {e: i for i, e in enumerate(edge_list)}
     out = []
     for i, (a, b) in enumerate(edge_list):
@@ -491,7 +491,7 @@ def _edge_lines(chunk, first, n, dimacs):
 
 
 def serialize(g: Graph, fmt: str = EDGE_LIST) -> str:
-    edge_list = sorted(g.edges())
+    edge_list = list(g.edges())
     if fmt == EDGE_LIST:
         lines = [f"{g.n} {len(edge_list)}"]
         lines += [f"{u} {v}" for u, v in edge_list]

@@ -158,6 +158,8 @@ def ptas_gamma_i(
         raise GraphError(f"epsilon {epsilon} is too small: 1/epsilon is not finite")
     if root is not None and not 0 <= root < g.n:
         raise GraphError(f"root {root} is not a vertex in 0..{g.n - 1}")
+    if not width_ceiling >= 0:
+        raise GraphError(f"width ceiling must be at least 0, got {width_ceiling}")
     k = math.ceil(1 / epsilon)
     result = PtasResult(0, DominationCertificate(0, 0, 0), k)
     a_total = 0

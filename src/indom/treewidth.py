@@ -301,7 +301,7 @@ def planned_cost(td: TreeDecomposition) -> int:
 
 def choose_decomposition(g: Graph, width_ceiling: int = DEFAULT_WIDTH_CEILING):
     """Min-fill's decomposition or a path decomposition, whichever has the
-    lower planned_cost, checked with validate_decomposition.
+    lower planned_cost; gamma_i_treewidth checks the one it runs on.
 
     A path decomposition wider than the ceiling is not built, so one within
     it replaces a wider min-fill regardless of cost, and with none within it
@@ -310,9 +310,6 @@ def choose_decomposition(g: Graph, width_ceiling: int = DEFAULT_WIDTH_CEILING):
     path = path_decomposition(g, width_ceiling)
     if path is not None and (best.width > width_ceiling or planned_cost(path) < planned_cost(best)):
         best = path
-    bad = validate_decomposition(g, best)
-    if bad is not None:
-        raise GraphError(f"internal error: built an invalid tree decomposition ({bad})")
     return best
 
 
@@ -682,11 +679,11 @@ def gamma_i_treewidth(
 ):
     """Independence-domination number via a tree decomposition.
 
-    Without a decomposition, choose_decomposition picks and checks one. A
-    given td is used as it is, unchecked: check one from outside with
-    validate_decomposition first, as dispatch.gamma_i does. Widths above the
-    ceiling are rejected rather than attempted. A given ``stats`` is filled
-    with the size of the DP.
+    Without a decomposition, choose_decomposition picks one. Widths above the
+    ceiling are rejected rather than attempted (CapacityError); then the
+    decomposition, given or chosen, is checked with validate_decomposition,
+    and an invalid one raises GraphError. A given ``stats`` is filled with
+    the size of the DP.
 
     The DP prices its independent set A; a search that stops at the first
     dominating set of A with at most that many vertices names the witness.
@@ -697,6 +694,9 @@ def gamma_i_treewidth(
         td = choose_decomposition(g, width_ceiling)
     if td.width > width_ceiling:
         raise CapacityError(f"decomposition width {td.width} exceeds ceiling {width_ceiling}")
+    bad = validate_decomposition(g, td)
+    if bad is not None:
+        raise GraphError(f"invalid tree decomposition ({bad})")
     for _, root_items in _dp_nodes(g, make_nice(td), stats):
         pass  # only the root's items are needed
     best_item = max(root_items, key=lambda it: it.table[0])

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import indom
-from indom import cograph, dispatch
+from indom import cli, cograph, dispatch
 from indom.cli import main
 from indom.generators import cycle, gnp, grid, path, random_cograph
-from indom.graph import Graph, parse, serialize
+from indom.graph import Graph, cartesian_product, mask_to_list, parse, serialize
 from indom.oracle import DominationCertificate
 
 
@@ -316,6 +316,17 @@ class TestBadFlags:
         assert code == 2
         assert reports == [{"error": "epsilon must be in (0, 1)"}]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["ptas", "{}", "--eps", "0.2"], "--epsilon"),
+        (["ptas", "{}", "--epsilon", "0.2", "--width", "3"], "--width"),
+        (["gamma-i", "{}", "--al", "exact"], "--al"),
+    ])
+    def test_abbreviated_flags_are_json_errors(self, tmp_path, capsys, argv, flag):
+        target = write_graph(tmp_path, path(5))
+        code, reports = run(capsys, [a.format(target) for a in argv])
+        assert code == 2
+        assert len(reports) == 1 and flag in reports[0]["error"]
+
     @pytest.mark.parametrize("beta", ["nan", "-5"])
     def test_beta_outside_unit_interval(self, tmp_path, capsys, beta):
         target = write_graph(tmp_path, cycle(5))
@@ -369,6 +380,13 @@ class TestOracle:
         code, reports = run(capsys, ["oracle", "gamma-i", target])
         assert code == 0
         assert reports[0]["value"] == 2
+
+    @pytest.mark.parametrize("what", ["gamma", "gamma-i"])
+    def test_set_outside_gamma_set_is_refused(self, tmp_path, capsys, what):
+        target = write_graph(tmp_path, path(5))
+        code, reports = run(capsys, ["oracle", what, target, "--set", "1"])
+        assert code == 2
+        assert reports == [{"error": f"--set applies to gamma-set only, not to {what}"}]
 
     @pytest.mark.parametrize("ids", ["0,99", "a", "0,-1"])
     def test_gamma_set_rejects_bad_ids(self, tmp_path, capsys, ids):
@@ -545,6 +563,32 @@ def test_product_check_command(capsys):
     code, reports = run(capsys, ["product-check"])
     assert code == 0
     assert reports[-1]["failures"] == 0
+
+
+def test_product_check_reports_a_broken_pair(capsys, monkeypatch):
+    g, h = path(3), cycle(4)
+    broken = cartesian_product(g, h)
+    original = cli.gamma_i_oracle
+
+    def lowered(graph):
+        value, cert = original(graph)
+        return (0 if graph == broken else value), cert
+
+    monkeypatch.setattr(cli, "PRODUCT_CORPUS", [("P3", g), ("C4", h)])
+    monkeypatch.setattr(cli, "gamma_i_oracle", lowered)
+    code, reports = run(capsys, ["product-check"])
+    assert code == 1
+    assert reports[-1] == {"pairs": 4, "failures": 1}
+    bad = [r for r in reports[:-1] if not r["ok"]]
+    assert [r["pair"] for r in bad] == [["P3", "C4"]]
+    assert bad[0]["checks"] == {"gamma_product_vs_gi_gamma": True, "gi_product_vs_gi_gi": False,
+                                "suen_tarr": True}
+    cert = original(broken)[1]
+    assert bad[0]["witness_pairs"] == {
+        "independent_set": [list(divmod(v, h.n)) for v in mask_to_list(cert.independent_set)],
+        "dominating_set": [list(divmod(v, h.n)) for v in mask_to_list(cert.dominating_set)],
+    }
+    assert all("checks" not in r for r in reports[:-1] if r["ok"])
 
 
 def test_error_reports_json(tmp_path, capsys):

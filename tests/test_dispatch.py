@@ -56,11 +56,21 @@ class TestRefusals:
             gamma_i(cycle(7), "exact", width_ceiling=1, exact_ceiling=3)
         assert str(info.value) == "n=7 above the exact-solver ceiling 3"
 
-    def test_bad_input_to_the_exact_rung_is_not_reworded(self):
-        # the treewidth rung refuses first; the bad beta is the only error
+    @pytest.mark.parametrize("g, kwargs, message", [
+        (cycle(4), {"beta": 2}, "beta must be a number in [0, 1], got 2"),
+        (cycle(7), {"beta": float("nan")}, "beta must be a number in [0, 1], got nan"),
+        (cycle(7), {"width_ceiling": -5}, "width ceiling must be at least 0, got -5"),
+        (cycle(4), {"exact_ceiling": -1}, "exact ceiling must be at least 0, got -1"),
+        (gnp(30, 0.4, 1), {"beta": 2, "width_ceiling": 3},
+         "beta must be a number in [0, 1], got 2"),
+    ], ids=["beta-2", "beta-nan", "width-ceiling", "exact-ceiling", "beta-2-both-rungs"])
+    def test_bad_arguments_fail_before_any_rung(self, g, kwargs, message):
+        # cycle(4) is a cograph and cycle(7) has width 2, so each would be
+        # answered; the gnp graph would reach the exact rung. Either way the
+        # bad argument is the only error, not reworded as a refusal.
         with pytest.raises(GraphError) as info:
-            gamma_i(gnp(30, 0.4, 1), beta=2, width_ceiling=3)
-        assert str(info.value) == "beta must be a number in [0, 1], got 2"
+            gamma_i(g, **kwargs)
+        assert str(info.value) == message
         assert not isinstance(info.value, CapacityError)
 
     def test_mismatched_cotree(self):
@@ -101,7 +111,7 @@ class TestAnswers:
         algorithm, value, cert, extra = gamma_i(g, "treewidth", td=td)
         assert extra["width"] == td.width and value == gamma_i_oracle(g)[0]
 
-    def test_a_decomposition_is_validated_once(self, monkeypatch):
+    def test_where_a_decomposition_is_validated(self, monkeypatch):
         g = grid(3, 4)
         given, chosen = heuristic_decomposition(g, "degree"), choose_decomposition(g)
         calls = []
@@ -114,10 +124,11 @@ class TestAnswers:
         monkeypatch.setattr(dispatch, "validate_decomposition", counted)
         monkeypatch.setattr(treewidth, "validate_decomposition", counted)
         expected = gamma_i_oracle(g)[0]
-        # a given one among the side files; none in the solver
+        # a given one among the side files, whichever class answers, and
+        # again in the solver
         assert gamma_i(g, "treewidth", td=given)[1] == expected
-        assert calls == [given]
-        # without one, the chosen candidate's own check
+        assert calls == [given, given]
+        # without one, the solver checks the chosen candidate
         calls.clear()
         assert gamma_i(g, "treewidth")[1] == expected
         assert calls == [chosen]

@@ -335,6 +335,13 @@ class TestFormats:
         g = parse("p 2 1\ne 0 1\n", "dimacs")
         assert g.n == 2 and g.m == 1
 
+    def test_edges_come_in_lexicographic_order(self):
+        # serialize and edge_clique_graph write g.edges() as it comes
+        for seed in range(20):
+            g = gnp(5 + seed * 3, 0.05 + (seed % 5) * 0.2, seed)
+            assert list(g.edges()) == sorted(g.edges())
+        assert serialize(Graph(4, [(3, 2), (1, 0), (2, 0)])) == "4 3\n0 1\n0 2\n2 3\n"
+
     def test_round_trip(self):
         for seed in range(5):
             g = gnp(8, 0.4, seed)

@@ -405,6 +405,10 @@ class TestPtas:
         with pytest.raises(GraphError, match="epsilon"):
             ptas_gamma_i(path(3), 1e-320)
 
+    def test_negative_width_ceiling_rejected(self):
+        with pytest.raises(GraphError, match="width ceiling must be at least 0, got -1"):
+            ptas_gamma_i(path(3), 0.5, width_ceiling=-1)
+
     def test_disconnected_input(self):
         g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
         res = ptas_gamma_i(g, 1 / 3)

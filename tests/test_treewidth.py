@@ -368,6 +368,41 @@ class TestGammaITreewidth:
         with pytest.raises(CapacityError):
             gamma_i_treewidth(kn, width_ceiling=3)
 
+    def test_invalid_decompositions_are_refused(self):
+        """One mutation of min-fill's decomposition per seed; every one that
+        validate_decomposition rejects is a GraphError, not a value."""
+        invalid = 0
+        for s in range(300):
+            rng = random.Random(s)
+            g = gnp(5 + s % 9, 0.3, s)
+            td = heuristic_decomposition(g)
+            bags, edges = list(td.bags), list(td.edges)
+            if s % 4 == 0:  # drop one vertex from one bag
+                i = rng.randrange(len(bags))
+                bags[i] &= ~(1 << rng.choice(list(bits(bags[i]))))
+            elif s % 4 == 1:  # delete one bag edge
+                edges.pop(rng.randrange(len(edges)))
+            elif s % 4 == 2:  # point one bag edge's second end elsewhere
+                if len(bags) > 2:
+                    i = rng.randrange(len(edges))
+                    edges[i] = (edges[i][0], rng.randrange(len(bags)))
+            else:  # empty one bag
+                bags[rng.randrange(len(bags))] = 0
+            td = TreeDecomposition(td.n, bags, edges)
+            bad = validate_decomposition(g, td)
+            if bad is None:
+                assert gamma_i_treewidth(g, td)[0] == gamma_i_oracle(g)[0], s
+                continue
+            invalid += 1
+            with pytest.raises(GraphError, match=r"invalid tree decomposition \(" + bad.kind):
+                gamma_i_treewidth(g, td)
+        assert invalid == 263
+
+    def test_a_wide_invalid_decomposition_is_a_capacity_error(self):
+        td = TreeDecomposition(4, [0b1111, 0b1111], [])
+        with pytest.raises(CapacityError, match="width 3 exceeds ceiling 2"):
+            gamma_i_treewidth(path(4), td, width_ceiling=2)
+
     def test_flat_count_table_counterexample(self):
         g = build_graph(8, [(4, 0), (4, 3), (5, 1), (6, 2), (7, 0), (7, 1), (7, 2), (7, 3)])
         assert gamma_i_treewidth(g)[0] == 3 == gamma_i_oracle(g)[0]
@@ -754,6 +789,20 @@ class TestDenseTables:
         monkeypatch.setattr(treewidth, "_maps", cache)
         assert gamma_i_treewidth(g) == expected
         assert 0 < cache.size == sum(map(len, cache.maps.values())) <= 200
+
+    def test_map_cache_keeps_what_fits(self):
+        def build(k):
+            return range(k)
+
+        cache = treewidth._MapCache(4)
+        # longer than the limit: returned, not kept
+        assert cache.get(build, 5) == tuple(range(5))
+        assert (cache.maps, cache.size) == ({}, 0)
+        kept = cache.get(build, 3)
+        assert cache.get(build, 3) is kept and cache.size == 3
+        # 3 + 2 would overflow the limit, so the cache is emptied first
+        assert cache.get(build, 2) == (0, 1)
+        assert list(cache.maps) == [(build, 2)] and cache.size == 2
 
     def test_planned_entries_are_the_entries_each_node_allocates(self, monkeypatch):
         built = []
