@@ -202,24 +202,35 @@ def is_cograph(g: Graph) -> bool:
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
-    """Reconstruct adjacency from the cotree."""
-    edges = []
-    leaves = {}
-    for node in t.postorder():
-        if node.label == LEAF:
-            leaves[id(node)] = [node.vertex]
-            continue
-        merged = []
-        for c in node.children:
-            part = leaves.pop(id(c))
-            if node.label == JOIN:
-                edges += [(u, v) for u in merged for v in part]
-            merged += part
-        leaves[id(node)] = merged
-    vertices = leaves[id(t.root)]
-    if sorted(vertices) != list(range(t.n)):
+    """Reconstruct adjacency from the cotree.
+
+    A JOIN makes each vertex of a child adjacent to the node's vertices in
+    its other children, so each such vertex's row ORs in one mask: the
+    node's vertices minus its child's. The leaves are checked first.
+    """
+    order = t.postorder()
+    leaves = [node.vertex for node in order if node.label == LEAF]
+    if sorted(leaves) != list(range(t.n)):
         raise GraphError("cotree leaves are not a bijection onto 0..n-1")
-    return Graph(t.n, edges)
+    rows = [0] * t.n
+    parts = {}  # id(node) -> (vertex mask, vertex list) of a node not yet merged
+    for node in order:
+        if node.label == LEAF:
+            parts[id(node)] = (1 << node.vertex, [node.vertex])
+            continue
+        children = [parts.pop(id(c)) for c in node.children]
+        mask = 0
+        vertices = []
+        for part, members in children:
+            mask |= part
+            vertices += members
+        if node.label == JOIN:
+            for part, members in children:
+                others = mask ^ part
+                for v in members:
+                    rows[v] |= others
+        parts[id(node)] = (mask, vertices)
+    return Graph._from_rows(rows)
 
 
 def validate_cotree(t: Cotree) -> None:

@@ -17,7 +17,7 @@ from .distance_hereditary import (DHFailure, DHStats, build_dh_decomposition, ga
 from .permutation import diagram_to_graph, gamma_i_permutation
 from .treewidth import (DEFAULT_WIDTH_CEILING, DPStats, choose_decomposition, gamma_i_treewidth,
                         validate_decomposition)
-from .exactexp import DEFAULT_BETA, DEFAULT_CEILING, check_beta, gamma_i_exact
+from .exactexp import DEFAULT_BETA, DEFAULT_CEILING, check_beta, check_ceiling, gamma_i_exact
 
 ALGORITHMS = ("auto", "cograph", "dh", "permutation", "treewidth", "exact")
 
@@ -38,9 +38,8 @@ def gamma_i(g: Graph, algo="auto", cotree=None, diagram=None, td=None,
     if algo not in ALGORITHMS:
         raise GraphError(f"unknown algorithm {algo!r}, expected one of {', '.join(ALGORITHMS)}")
     check_beta(beta)
-    for name, ceiling in (("width", width_ceiling), ("exact", exact_ceiling)):
-        if not ceiling >= 0:
-            raise GraphError(f"{name} ceiling must be at least 0, got {ceiling}")
+    check_ceiling("width", width_ceiling)
+    check_ceiling("exact", exact_ceiling)
     if cotree is not None and cotree_to_graph(cotree) != g:
         raise GraphError("cotree does not match the input graph")
     if diagram is not None and diagram_to_graph(diagram) != g:

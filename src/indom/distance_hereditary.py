@@ -149,31 +149,33 @@ def recognize_dh(g: Graph, stats: DHStats | None = None):
 
 
 def replay_sequence(seq: PruningSequence) -> Graph:
-    """Rebuild the graph by applying the eliminations backwards."""
+    """Rebuild the graph's rows by applying the eliminations backwards."""
     n = seq.n
     if n == 0:
         return Graph(0)
     if len(seq.ops) != n - 1:
         raise GraphError(f"expected {n - 1} operations for n={n}")
-    final = seq.final_vertex
-    adj = [set() for _ in range(n)]
-    present = {final}
+    ids = range(n)
+    rows = [0] * n
+    present = 1 << seq.final_vertex
     for op in reversed(seq.ops):
-        if op.u not in present or op.v in present or not (0 <= op.v < n):
+        u, v = op.u, op.v
+        # ids are checked before any shift by them
+        if u not in ids or v not in ids or not present >> u & 1 or present >> v & 1:
             raise GraphError(f"inconsistent operation {op}")
         if op.kind == PENDANT:
-            nbrs = {op.u}
+            nbrs = 1 << u
         elif op.kind == TRUE_TWIN:
-            nbrs = adj[op.u] | {op.u}
+            nbrs = rows[u] | 1 << u
         elif op.kind == FALSE_TWIN:
-            nbrs = set(adj[op.u])
+            nbrs = rows[u]
         else:
             raise GraphError(f"unknown operation kind {op.kind!r}")
-        for w in nbrs:
-            adj[w].add(op.v)
-        adj[op.v] = nbrs
-        present.add(op.v)
-    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        for w in bits(nbrs):
+            rows[w] |= 1 << v
+        rows[v] = nbrs
+        present |= 1 << v
+    return Graph._from_rows(rows)
 
 
 def serialize_sequence(seq: PruningSequence) -> str:

@@ -317,6 +317,13 @@ def check_beta(beta: float):
         raise GraphError(f"beta must be a number in [0, 1], got {beta}")
 
 
+def check_ceiling(name: str, ceiling: int):
+    """GraphError unless the ceiling is at least 0 (nan is not): a negative
+    ceiling is bad input, not a refusal of the graph."""
+    if not ceiling >= 0:
+        raise GraphError(f"{name} ceiling must be at least 0, got {ceiling}")
+
+
 def gamma_i_exact(
     g: Graph,
     beta: float = DEFAULT_BETA,
@@ -327,9 +334,11 @@ def gamma_i_exact(
     Maximal independent sets of size at most beta*n go through the
     branching/matching route, larger ones through subset enumeration. A set
     no larger than the running maximum is skipped, and the branching route
-    gets the running maximum as its cutoff.
+    gets the running maximum as its cutoff. Beta and the ceiling are checked
+    first (GraphError), then n against the ceiling (CapacityError).
     """
     check_beta(beta)
+    check_ceiling("exact", ceiling)
     if g.n > ceiling:
         raise CapacityError(f"n={g.n} above the exact-solver ceiling {ceiling}")
     stats = BranchStats()

@@ -4,7 +4,10 @@ error types.
 Vertex sets are plain Python ints used as bit masks over 0..n-1, so all
 set operations (union, intersection, domination checks) are word-parallel.
 A graph is stored only as such masks, one row of neighbors per vertex.
-Helpers below convert between masks and vertex lists.
+Helpers below convert between masks and vertex lists. A dense edge list
+becomes rows through one scatter helper, _EdgeMatrix, whether it is given to
+Graph(n, edges) or read by parse; a sparse one is OR-ed in edge by edge.
+Graph.edges and serialize read the rows back in C where they are dense.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from functools import partial
+from collections.abc import Sized
 from operator import le, setitem
 from typing import Iterable, Iterator
 
@@ -83,12 +86,14 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0 or n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
-        rows = [0] * n
-        bad = _add_edges(rows, edges)
-        if bad is not None:
-            u, v = bad
-            raise GraphError(f"self-loop ({u}, {v})" if u == v
-                             else f"edge ({u}, {v}) out of range for n={n}")
+        rows = _matrix_rows(n, edges)
+        if rows is None:
+            rows = [0] * n
+            bad = _add_edges(rows, edges)
+            if bad is not None:
+                u, v = bad
+                raise GraphError(f"self-loop ({u}, {v})" if u == v
+                                 else f"edge ({u}, {v}) out of range for n={n}")
         self._set_rows(rows)
 
     @classmethod
@@ -110,9 +115,21 @@ class Graph:
         return (1 << self.n) - 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once, as (u, v) with u < v, in lexicographic order."""
+        ids = None  # the vertex ids as a list, made for the first dense row
         for u, r in enumerate(self.row):
-            for v in bits(r >> u + 1 << u + 1):
-                yield (u, v)
+            high = r >> u + 1
+            selectors = _selectors(high)
+            if selectors is not None:
+                if ids is None:
+                    ids = list(range(self.n))
+                yield from zip(itertools.repeat(u),
+                               itertools.compress(ids[u + 1:u + 1 + len(selectors)], selectors))
+                continue
+            while high:
+                low = high & -high
+                yield u, u + low.bit_length()
+                high ^= low
 
     def degree(self, v: int) -> int:
         return self.row[v].bit_count()
@@ -130,6 +147,34 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# Graph(n, edges) scatters a list of at least MATRIX_MIN_EDGES edges through
+# an _EdgeMatrix when that takes at most MATRIX_BYTES_PER_EDGE bytes per edge;
+# smaller or sparser lists OR each edge into two row masks. The two routes
+# cost about the same at 16-32 bytes per edge; at 8 or fewer the matrix is
+# 1.4-1.7 times faster on shuffled cograph and permutation-graph edges.
+MATRIX_MIN_EDGES = 64
+MATRIX_BYTES_PER_EDGE = 8
+
+
+def _matrix_rows(n: int, edges) -> Iterator[int] | None:
+    """Rows of a dense edge list through an _EdgeMatrix; None, for _add_edges
+    to build them, when the edges are few or sparse, unsized (a generator is
+    read once, as it comes), or include a bad one, which _add_edges names."""
+    if not isinstance(edges, Sized) or not (
+            MATRIX_MIN_EDGES <= len(edges) and n * n <= MATRIX_BYTES_PER_EDGE * len(edges)):
+        return None
+    matrix = _EdgeMatrix(n)
+    try:
+        us = [u for u, _ in edges]
+        vs = [v for _, v in edges]
+        # a list or view index wraps a negative id
+        if min(us) < 0 or min(vs) < 0 or not matrix.add(us, vs):
+            return None
+    except (TypeError, ValueError):  # not a pair, or not an int id
+        return None
+    return matrix.rows()
+
+
 def _add_edges(rows: list[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
     """OR each edge (u, v) into rows[u] and rows[v]. The first self-loop or
     edge out of range for len(rows) vertices stops the loop and is returned,
@@ -141,6 +186,64 @@ def _add_edges(rows: list[int], edges: Iterable[tuple[int, int]]) -> tuple[int, 
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return None
+
+
+# the byte of an edge in the matrix; every other byte is b"0"
+_EDGE = ord("1")
+
+
+class _EdgeMatrix:
+    """Edges scattered in C into an n x n byte matrix, read back as rows.
+
+    The one scatter helper: Graph(n, edges) uses it for a dense list, parse
+    for a text no shorter than n * n. Each edge (u, v) sets byte u * n + v
+    from b"0" to b"1" through a C-level map, and row v is the binary number
+    of the matrix's row v or-ed with that of its column v.
+    """
+
+    __slots__ = ("matrix", "lines")
+
+    def __init__(self, n: int):
+        self.matrix = bytearray(b"0") * (n * n)
+        view = memoryview(self.matrix)
+        self.lines = [view[v * n:v * n + n] for v in range(n)]
+
+    def add(self, us: list[int], vs: list[int]) -> bool:
+        """Set byte v of line u for each edge (u, v); False when an id is n
+        or more (the map stops there) or an edge set a diagonal byte, a
+        self-loop. The caller keeps negative ids out: a list or view index
+        would wrap them."""
+        try:
+            deque(map(setitem, map(self.lines.__getitem__, us), vs, itertools.repeat(_EDGE)), 0)
+        except IndexError:
+            return False
+        return _EDGE not in self.matrix[::len(self.lines) + 1]
+
+    def rows(self) -> Iterator[int]:
+        n = len(self.lines)
+        matrix = self.matrix
+        return (int(matrix[v * n:v * n + n][::-1], 2) | int(matrix[v::n][::-1], 2)
+                for v in range(n))
+
+
+# Graph.edges and serialize pick a row's neighbours above u in C, by
+# itertools.compress over a list of ids or names, where there are at least
+# ROW_MIN_BITS of them and they fill more than one in ROW_SPAN_PER_BIT of the
+# bit positions they span: compress costs a fixed set-up per row and a
+# selector byte and a step per position. Other rows are walked bit by bit.
+ROW_MIN_BITS = 16
+ROW_SPAN_PER_BIT = 8
+# bin()'s digits as compress selectors: b"0" becomes false, b"1" stays true
+_DIGIT_BYTES = bytes.maketrans(b"0", b"\0")
+
+
+def _selectors(high: int) -> bytes | None:
+    """One selector byte per bit of high, lowest first; None when high has
+    too few bits, or too sparse ones, for compress to pay (see ROW_MIN_BITS)."""
+    count = high.bit_count()
+    if count < ROW_MIN_BITS or high.bit_length() >= ROW_SPAN_PER_BIT * count:
+        return None
+    return bin(high)[:1:-1].encode().translate(_DIGIT_BYTES)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -297,7 +400,8 @@ def undominated(items: Iterable, key, costs) -> list:
 # plain edge lines by one digit-deleting translate and one json decode
 # instead, and every other slice as the rule says. When an n x n byte
 # matrix is no larger than the text, parse scatters the edges into it in C
-# rather than OR-ing each into a row mask in a Python loop step.
+# through _EdgeMatrix, the scatter helper Graph(n, edges) also uses, rather
+# than OR-ing each into a row mask in a Python loop step.
 
 EDGE_LIST = "edge-list"
 DIMACS = "dimacs"
@@ -318,8 +422,6 @@ _TO_NEWLINE = dict.fromkeys(map(ord, _OTHER_BREAKS), "\n")
 # line breaks
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
-# the byte of an edge in the matrix; every other byte is b"0"
-_EDGE = ord("1")
 
 
 def read_lines(text: str, c_comments: bool = False) -> Iterator[tuple[int, list[str]]]:
@@ -354,11 +456,10 @@ def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
     number json or int() refuses, or a bad edge) is read line by line, so an
     error names its line. Line numbers are those of str.splitlines.
 
-    When n * n is at most the length of the text, each edge (u, v) sets byte
-    u * n + v of an n x n matrix of b"0" to b"1" through a C-level map, and
-    row v is read back as the binary numbers of its row and its column; the
-    bound is the text's length, not the header's m, so a header cannot make
-    the matrix large. Other graphs OR each edge into two row masks.
+    When n * n is at most the length of the text, the edges are scattered
+    through an _EdgeMatrix; the bound is the text's length, not the header's
+    m, so a header cannot make the matrix large. Other graphs OR each edge
+    into two row masks.
     """
     if fmt not in (EDGE_LIST, DIMACS):
         raise FormatError(f"unknown format {fmt!r}")
@@ -367,9 +468,8 @@ def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
         text = text.replace("\r\n", "\n").translate(_TO_NEWLINE)
     header, start, n, m = _header(text, dimacs)
     if n * n <= len(text):
-        matrix = bytearray(b"0") * (n * n)
-        view = memoryview(matrix)
-        add = partial(_scatter, matrix, [view[v * n:v * n + n] for v in range(n)])
+        matrix = _EdgeMatrix(n)
+        add = matrix.add
     else:
         matrix = None
         rows = [0] * n
@@ -394,22 +494,7 @@ def parse(text: str, fmt: str = EDGE_LIST) -> Graph:
         start = cut + 1
     if count != m:
         raise FormatError(f"header declared {m} edges, found {count}", header)
-    if matrix is None:
-        return Graph._from_rows(rows)
-    return Graph._from_rows(int(matrix[v * n:v * n + n][::-1], 2) | int(matrix[v::n][::-1], 2)
-                            for v in range(n))
-
-
-def _scatter(matrix, rows, us, vs):
-    """Set byte v of rows[u], a view of the matrix, for each edge (u, v);
-    False when an id is n or more (the map stops there) or an edge set a
-    diagonal byte, a self-loop. Ids are never negative: the slice was plain
-    or read line by line."""
-    try:
-        deque(map(setitem, map(rows.__getitem__, us), vs, itertools.repeat(_EDGE)), 0)
-    except IndexError:
-        return False
-    return _EDGE not in matrix[::len(rows) + 1]
+    return Graph._from_rows(rows if matrix is None else matrix.rows())
 
 
 def _header(text, dimacs):
@@ -491,13 +576,28 @@ def _edge_lines(chunk, first, n, dimacs):
 
 
 def serialize(g: Graph, fmt: str = EDGE_LIST) -> str:
-    edge_list = list(g.edges())
+    """The graph's text, its edges in lexicographic order. A dense row's
+    lines are one join of its neighbours' names, picked as in Graph.edges,
+    so no string or tuple is made per edge of it."""
     if fmt == EDGE_LIST:
-        lines = [f"{g.n} {len(edge_list)}"]
-        lines += [f"{u} {v}" for u, v in edge_list]
-        return "\n".join(lines) + "\n"
-    if fmt == DIMACS:
-        lines = [f"p {g.n} {len(edge_list)}"]
-        lines += [f"e {u} {v}" for u, v in edge_list]
-        return "\n".join(lines) + "\n"
-    raise FormatError(f"unknown format {fmt!r}")
+        lines, start = [f"{g.n} {g.m}"], ""
+    elif fmt == DIMACS:
+        lines, start = [f"p {g.n} {g.m}"], "e "
+    else:
+        raise FormatError(f"unknown format {fmt!r}")
+    names = list(map(str, range(g.n)))
+    for u, r in enumerate(g.row):
+        high = r >> u + 1
+        if not high:
+            continue
+        selectors = _selectors(high)
+        prefix = f"{start}{u} "
+        if selectors is not None:
+            above = itertools.compress(names[u + 1:u + 1 + len(selectors)], selectors)
+            lines.append(prefix + ("\n" + prefix).join(above))
+            continue
+        while high:
+            low = high & -high
+            lines.append(prefix + names[u + low.bit_length()])
+            high ^= low
+    return "\n".join(lines) + "\n"

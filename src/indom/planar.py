@@ -35,7 +35,7 @@ from .graph import (Graph, GraphError, bits, closed_neighborhood, connected_comp
                     induced_subgraph, vertex_set)
 from .oracle import DominationCertificate, enumerate_maximal_independent_sets, gamma_of_set
 from .treewidth import DEFAULT_WIDTH_CEILING, gamma_i_treewidth, heuristic_decomposition
-from .exactexp import gamma_of_independent_set_fast
+from .exactexp import check_ceiling, gamma_of_independent_set_fast
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,7 @@ def ptas_gamma_i(
         raise GraphError(f"epsilon {epsilon} is too small: 1/epsilon is not finite")
     if root is not None and not 0 <= root < g.n:
         raise GraphError(f"root {root} is not a vertex in 0..{g.n - 1}")
-    if not width_ceiling >= 0:
-        raise GraphError(f"width ceiling must be at least 0, got {width_ceiling}")
+    check_ceiling("width", width_ceiling)
     k = math.ceil(1 / epsilon)
     result = PtasResult(0, DominationCertificate(0, 0, 0), k)
     a_total = 0

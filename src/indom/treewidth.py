@@ -50,7 +50,7 @@ from operator import add, attrgetter, sub
 from .graph import (MAX_VERTICES, CapacityError, Graph, GraphError, FormatError, bits,
                     mask_from, mask_to_list, parse_ints, read_lines, undominated)
 from .oracle import DominationCertificate
-from .exactexp import gamma_of_independent_set_fast
+from .exactexp import check_ceiling, gamma_of_independent_set_fast
 
 DEFAULT_WIDTH_CEILING = 12
 INF = float("inf")  # cost of an infeasible table entry
@@ -679,7 +679,8 @@ def gamma_i_treewidth(
 ):
     """Independence-domination number via a tree decomposition.
 
-    Without a decomposition, choose_decomposition picks one. Widths above the
+    A negative ceiling is bad input (GraphError, see check_ceiling). Without
+    a decomposition, choose_decomposition picks one. Widths above the
     ceiling are rejected rather than attempted (CapacityError); then the
     decomposition, given or chosen, is checked with validate_decomposition,
     and an invalid one raises GraphError. A given ``stats`` is filled with
@@ -690,6 +691,7 @@ def gamma_i_treewidth(
     It raises when the set found is smaller than the value (the DP was too
     high) and when the search finds none and ends above it (too low).
     """
+    check_ceiling("width", width_ceiling)
     if td is None:
         td = choose_decomposition(g, width_ceiling)
     if td.width > width_ceiling:

@@ -7,6 +7,7 @@ from indom import Graph, GraphError, dispatch, treewidth, verify_certificate
 from indom.cograph import ClassMismatchError, P4Witness, build_cotree
 from indom.dispatch import ALGORITHMS, gamma_i
 from indom.distance_hereditary import DHFailure
+from indom.exactexp import gamma_i_exact
 from indom.generators import (cycle, gnp, grid, path, random_chordal, random_cograph, random_dh,
                               random_permutation)
 from indom.oracle import gamma_i_oracle
@@ -70,6 +71,23 @@ class TestRefusals:
         # bad argument is the only error, not reworded as a refusal.
         with pytest.raises(GraphError) as info:
             gamma_i(g, **kwargs)
+        assert str(info.value) == message
+        assert not isinstance(info.value, CapacityError)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: treewidth.gamma_i_treewidth(cycle(5), width_ceiling=-1),
+         "width ceiling must be at least 0, got -1"),
+        (lambda: treewidth.gamma_i_treewidth(Graph(0), width_ceiling=-1),
+         "width ceiling must be at least 0, got -1"),
+        (lambda: gamma_i_exact(Graph(0), ceiling=-1), "exact ceiling must be at least 0, got -1"),
+        (lambda: gamma_i_exact(cycle(5), ceiling=float("nan")),
+         "exact ceiling must be at least 0, got nan"),
+    ], ids=["treewidth-c5", "treewidth-empty", "exact-empty", "exact-nan"])
+    def test_a_negative_ceiling_is_bad_input_to_each_solver(self, call, message):
+        # the same check as gamma_i's: not a refusal, and not skipped where
+        # the graph is small enough for any ceiling
+        with pytest.raises(GraphError) as info:
+            call()
         assert str(info.value) == message
         assert not isinstance(info.value, CapacityError)
 
