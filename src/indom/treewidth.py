@@ -121,6 +121,8 @@ def _postorder(td: TreeDecomposition):
 
 def validate_decomposition(g: Graph, td: TreeDecomposition):
     """None when valid, otherwise a Violation naming the failing vertex/edge."""
+    if td.n != g.n:
+        return Violation("vertex-count", f"decomposition has {td.n} vertices, the graph {g.n}")
     union = 0
     for b in td.bags:
         union |= b
@@ -276,8 +278,9 @@ def planned_cost(td: TreeDecomposition) -> int:
     whose bag holds s vertices, and 8^s more for each join node.
 
     Counted bag by bag as make_nice makes them, without building any node:
-    a leaf bag's chain up from an empty leaf or a bag's k - 1 joins, then its
-    move into its parent's bag, or the empty bag at the root."""
+    a bag's chain up from an empty leaf or its k - 1 joins, an introduce and
+    a forget per vertex its folded leaves add, then its move into its
+    parent's bag, or the empty bag at the root."""
 
     def chain(lo, hi):
         """One nice node for each bag size lo..hi."""
@@ -286,14 +289,13 @@ def planned_cost(td: TreeDecomposition) -> int:
     if not td.bags:
         return 1  # make_nice's one empty leaf
     total = 0
-    for b, parent, children in _postorder(td):
-        bag = td.bags[b]
+    for _, bag, target, branches, added in _nice_plan(td, _postorder(td)):
         size = bag.bit_count()
-        if children:
-            total += (len(children) - 1) * (6 ** size + 8 ** size)
+        if branches:
+            total += (len(branches) - 1) * (6 ** size + 8 ** size)
         else:
             total += chain(0, size)
-        target = 0 if parent is None else td.bags[parent]
+        total += len(added) * chain(size, size + 1)
         shared = (bag & target).bit_count()
         total += chain(shared, size - 1) + chain(shared + 1, target.bit_count())
     return total
@@ -343,14 +345,42 @@ class NiceDecomposition:
         return max(node.bag.bit_count() for node in self.nodes) - 1
 
 
+def _nice_plan(td, walk):
+    """The bags make_nice builds as branches, in walk's order, each as (bag
+    id, bag, its parent's bag or 0 at the root, its children built as
+    branches, the vertices its folded leaves add).
+
+    Leaf bags fold into their parent's chain. One inside its parent's bag
+    adds nothing. One with a single vertex outside it, under a parent smaller
+    than the largest bag, adds an introduce of that vertex after the parent's
+    joins and a forget of it: the vertex is in no other bag, so all its
+    neighbors are in the parent's bag, and the width does not grow."""
+    largest = td.width + 1
+    folded = [False] * len(td.bags)
+    added = [[] for _ in td.bags]
+    plan = []
+    for b, parent, children in walk:
+        bag = td.bags[b]
+        target = 0 if parent is None else td.bags[parent]
+        extra = bag & ~target
+        if not children and parent is not None and (
+                not extra or not extra & (extra - 1) and target.bit_count() < largest):
+            folded[b] = True
+            if extra:
+                added[parent].append(extra.bit_length() - 1)
+            continue
+        plan.append((b, bag, target, [c for c in children if not folded[c]], added[b]))
+    return plan
+
+
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     """Nice form: leaf/introduce/forget/join nodes, empty root bag. Raises
     GraphError when bag 0 does not reach every bag.
 
-    Per bag of _postorder: a leaf bag's introduce chain from an empty leaf,
-    or joins of the branches its children moved into it; then its move into
-    its parent's bag (the root's is empty), one vertex forgotten or
-    introduced per node."""
+    Per bag of _nice_plan: an introduce chain from an empty leaf, or joins of
+    the branches its children moved into it; an introduce and a forget for
+    each vertex its folded leaves add; then its move into its parent's bag
+    (the root's is empty), one vertex forgotten or introduced per node."""
     nodes: list[NiceNode] = []
 
     def emit(kind, bag, children=(), vertex=None):
@@ -374,16 +404,17 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     if len(walk) != len(td.bags):
         raise GraphError(f"bag graph is disconnected: bag 0 reaches {len(walk)} of "
                          f"{len(td.bags)} bags")
-    top = [0] * len(td.bags)  # each bag's last node, in its parent's bag
-    for b, parent, children in walk:
-        bag = td.bags[b]
-        if children:
-            nid = top[children[0]]
-            for c in children[1:]:
+    top = [0] * len(td.bags)  # each branch's last node, in its parent's bag
+    for b, bag, target, branches, added in _nice_plan(td, walk):
+        if branches:
+            nid = top[branches[0]]
+            for c in branches[1:]:
                 nid = emit(JOIN, bag, (nid, top[c]))
         else:
             nid = move(emit(LEAF, 0), 0, bag)
-        top[b] = move(nid, bag, 0 if parent is None else td.bags[parent])
+        for v in added:
+            nid = emit(FORGET, bag, (emit(INTRODUCE, bag | 1 << v, (nid,), v),), v)
+        top[b] = move(nid, bag, target)
     return NiceDecomposition(td.n, nodes)
 
 

@@ -129,6 +129,15 @@ class TestGammaI:
         assert reports[0]["algorithm"] == "treewidth"
         assert reports[0]["verified"] is True
 
+    def test_td_of_another_vertex_count_is_rejected(self, tmp_path, capsys):
+        target = write_graph(tmp_path, path(3))
+        td = tmp_path / "n5.td"
+        td.write_text("s 2 2 5\nb 0 0 1\nb 1 1 2\n0 1\n")
+        code, reports = run(capsys, ["gamma-i", target, "--td", str(td), "--certify"])
+        assert code == 2
+        assert reports == [{"error": "invalid tree decomposition (vertex-count: "
+                                     "decomposition has 5 vertices, the graph 3)"}]
+
     def test_wide_td_rejected(self, tmp_path, capsys):
         target = write_graph(tmp_path, path(5))
         td = tmp_path / "td.txt"

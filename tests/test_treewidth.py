@@ -75,6 +75,16 @@ class TestValidate:
         assert verdicts == {None, "vertex-range", "vertex-cover", "edge-cover", "tree",
                             "connectivity"}
 
+    def test_vertex_count_must_be_the_graphs(self):
+        for n in (2, 5):
+            td = TreeDecomposition(n, [0b011, 0b110], [(0, 1)])
+            bad = validate_decomposition(path(3), td)
+            assert bad is not None and bad.kind == "vertex-count"
+            assert bad.detail == f"decomposition has {n} vertices, the graph 3"
+            with pytest.raises(GraphError, match=r"invalid tree decomposition \(vertex-count"):
+                gamma_i_treewidth(path(3), td)
+        assert validate_decomposition(path(3), TreeDecomposition(3, td.bags, td.edges)) is None
+
     def test_vertex_beyond_graph(self):
         td = TreeDecomposition(4, [0b0011, 0b0110, 0b11100], [(0, 1), (1, 2)])
         bad = validate_decomposition(path(4), td)
@@ -249,12 +259,37 @@ def nice_to_decomposition(nd):
     return TreeDecomposition(nd.n, [node.bag for node in nd.nodes], edges)
 
 
+def _joins(nd):
+    return sum(node.kind == "join" for node in nd.nodes)
+
+
+def _foldable_leaves(td):
+    """Leaf bags, rooted at bag 0, that add no vertex to their parent's bag,
+    or one to a parent smaller than the largest bag."""
+    count = 0
+    for b, parent, children in treewidth._postorder(td):
+        if parent is not None and not children:
+            extra = (td.bags[b] & ~td.bags[parent]).bit_count()
+            count += extra == 0 or extra == 1 and td.bags[parent].bit_count() <= td.width
+    return count
+
+
+def _foldable_graphs():
+    """Graphs whose min-fill decompositions have foldable leaf bags."""
+    graphs = [random_chordal(n, seed) for seed, n in enumerate(range(8, 40, 3))]
+    graphs += [grid(r, c) for r, c in [(2, 6), (3, 5), (3, 8), (4, 6)]]
+    return graphs + [star(k) for k in (3, 5, 9)]
+
+
 class TestNiceForm:
     def test_structure(self):
-        for seed in range(10):
-            g = gnp(9, 0.3, seed)
+        graphs = [gnp(9, 0.3, seed) for seed in range(10)]
+        graphs += _foldable_graphs()
+        folded = 0
+        for g in graphs:
             td = heuristic_decomposition(g)
             nd = make_nice(td)
+            folded += _foldable_leaves(td) > 0
             assert nd.nodes[nd.root].bag == 0
             for node in nd.nodes:
                 if node.kind == "introduce":
@@ -273,6 +308,44 @@ class TestNiceForm:
             assert nd.width == td.width
             back = nice_to_decomposition(nd)
             assert validate_decomposition(g, back) is None
+        assert folded == len(graphs)
+
+    def test_one_vertex_leaves_fold_into_their_parents_chain(self):
+        """Bag 1 holds 3 vertices, fewer than bag 0's 4. Its leaf bags 2 and 3
+        each add one vertex and bag 4 adds none, so all three fold: bag 1
+        starts from its own empty leaf and no join is built."""
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4),
+                      (2, 5), (3, 5)])
+        td = TreeDecomposition(6, [0b001111, 0b001110, 0b010110, 0b101100, 0b001010],
+                               [(0, 1), (1, 2), (1, 3), (1, 4)])
+        assert validate_decomposition(g, td) is None
+        nd = make_nice(td)
+        assert [node.kind for node in nd.nodes] == (
+            ["leaf"] + ["introduce"] * 3  # bag 1 from an empty leaf
+            + ["introduce", "forget"] * 2  # vertices 4 and 5, from bags 2 and 3
+            + ["introduce"] + ["forget"] * 4  # into bag 0, then to the empty root
+        )
+        assert [nd.nodes[i].vertex for i in (4, 5, 6, 7)] == [4, 4, 5, 5]
+        assert nd.width == td.width == 3
+        assert validate_decomposition(g, nice_to_decomposition(nd)) is None
+        assert planned_cost(td) == _nice_form_cost(td)
+        value, cert = gamma_i_treewidth(g, td)
+        assert value == gamma_i_oracle(g)[0] and verify_certificate(g, cert)
+
+    def test_under_a_largest_bag_only_leaves_inside_it_fold(self):
+        """Bags 1 and 2 each add one vertex to bag 0, a largest bag, so both
+        keep their branch; bag 3 lies inside bag 0 and is dropped."""
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        td = TreeDecomposition(5, [0b00111, 0b01110, 0b10011, 0b00011],
+                               [(0, 1), (0, 2), (0, 3)])
+        assert validate_decomposition(g, td) is None
+        nd = make_nice(td)
+        assert _joins(nd) == 1 and nd.width == td.width == 2
+        # two branches of a leaf, 3 introduces, a forget and an introduce;
+        # a join; 3 forgets
+        assert len(nd.nodes) == 2 * 6 + 1 + 3
+        assert validate_decomposition(g, nice_to_decomposition(nd)) is None
+        assert planned_cost(td) == _nice_form_cost(td)
 
     def test_deep_path_leaves_the_recursion_limit_alone(self, monkeypatch):
         def refuse(limit):
@@ -355,6 +428,18 @@ class TestGammaITreewidth:
             value, cert = gamma_i_treewidth(g)
             assert value == gamma_i_oracle(g)[0]
             assert verify_certificate(g, cert)
+        # min-fill's decompositions, whose leaf bags fold into their parents
+        graphs = [gnp(5 + seed % 8, 0.2 + seed % 4 * 0.1, seed) for seed in range(40)]
+        graphs += [random_chordal(4 + seed % 9, seed) for seed in range(40)]
+        graphs += [random_outerplanar(4 + seed % 9, seed) for seed in range(40)]
+        folded = 0
+        for g in graphs:
+            td = heuristic_decomposition(g)
+            folded += _foldable_leaves(td) > 0
+            value, cert = gamma_i_treewidth(g, td)
+            assert value == gamma_i_oracle(g)[0]
+            assert verify_certificate(g, cert)
+        assert folded >= 100
 
     def test_decomposition_independence(self):
         for seed in range(40):
@@ -460,7 +545,7 @@ class TestChosenDecomposition:
         assert min(disconnected, isolated, path_chosen) >= 10
 
     def test_planned_cost_counts_the_nice_form(self):
-        graphs = _small_corpus() + [grid(4, 6), Graph(0), star(7)]
+        graphs = _small_corpus() + [grid(4, 6), Graph(0), star(7)] + _foldable_graphs()
         for g in graphs:
             for td in (heuristic_decomposition(g), heuristic_decomposition(g, "degree"),
                        path_decomposition(g)):
