@@ -27,7 +27,11 @@ The value DP keeps, per A-configuration class, the minimum |D| for each
 (u, d) demand; a boolean table over counts (|A|, |D|) cannot recover the
 max-over-A of min-over-D. Each item carries one such A and, per demand, one
 D of that size, so the best root item is the certificate and nothing walks
-back down the tree. The feasibility tables of :func:`edge_tables`
+back down the tree. Up to one constant shift of their costs, the items of a
+node take few distinct forms (states), so one solve interns each state and
+computes each distinct combine of a node kind and two child states once;
+every other node with the same key replays that combine's recipe on its
+children's carried masks. The feasibility tables of :func:`edge_tables`
 keep exactly those boolean entries, flags included, and exist to be checked
 verbatim against exhaustive enumeration on small instances.
 """
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from .graph import (ClassMismatchError, Graph, GraphError, FormatError, bits, parse_ints,
                     read_lines, undominated)
@@ -83,12 +87,16 @@ class DHFailure:
 @dataclass
 class DHStats:
     """Size of one DH solve: the eliminations of each kind recognition made,
-    and the most value-DP items kept at one tree node."""
+    the most value-DP items kept at one tree node, the distinct item states
+    the value DP interned and the combines it computed; every other inner
+    node replayed a computed combine's recipe."""
 
     pendants: int = 0
     true_twins: int = 0
     false_twins: int = 0
     max_items: int = 0
+    states: int = 0
+    combines: int = 0
 
 
 def recognize_dh(g: Graph, stats: DHStats | None = None):
@@ -293,31 +301,35 @@ def build_dh_decomposition(g: Graph, seq: PruningSequence) -> DHDecomposition:
 #         - D meets the twinset if d=1,
 #   a     one representative A, as a mask,
 #   d     per slot u*2+d, a dominating set D of cost c[u*2+d], as a mask.
-# A combined item ORs its children's A and, per slot, the D masks of the
-# first child slot pair of minimum cost. graph.undominated drops each item
-# whose cost vector another item of the same i bounds from above (of equal
-# vectors it keeps the first) and groups the survivors by i; the root
-# maximizes c[u=0,d=0] over them, and its (a, d[0]) is the certificate.
+# A node holds its items as (offset, state, masks): the offset is the least
+# cost of any item, the state the tuple of (i, c - offset) over the items
+# with INF kept, and masks[j] item j's (a, d). Shifting a child's costs by a
+# constant moves no first minimum and no bound between items, so a combine
+# depends on the node kind and its children's states alone, and rank-1 cuts
+# leave few distinct states. One call interns each state as an int and
+# computes each distinct (label, l_in, r_in, left state, right state)
+# combine once: the output state, its shift and a recipe naming, per output
+# item, the child item pair and each slot's first child slot pair of minimum
+# cost (None when the slot is INF). Every node with that key applies the
+# recipe to its children's masks: an item ORs its children's a and, per
+# slot, the d of the picked child slots (0 for an INF slot).
+# graph.undominated drops each item whose cost vector another item of the
+# same i bounds from above (of equal vectors it keeps the first) and groups
+# the survivors by i; the root maximizes c[u=0,d=0] over them, and its
+# (a, d[0]) is the certificate.
+
+_TWIN_LEAF = ((False, (0, 1, 0, 1)), (True, (1, 1, 0, 1)))
+# an isolated vertex costs (1, INF, 1, INF); leaving it out of A costs
+# pointwise less, so that item would be pruned
+_ISOLATED_LEAF = ((False, (0, INF, 0, INF)),)
 
 
-class _Item:
-    __slots__ = ("i", "c", "a", "d")
-
-    def __init__(self, i, c, a, d):
-        self.i = i
-        self.c = c
-        self.a = a
-        self.d = d
-
-
-def _leaf_items(g, node):
+def _leaf_items(node):
+    """(offset, state, masks) of a leaf."""
     v = 1 << node.vertex
     if node.q:
-        return [_Item(False, (0, 1, 0, 1), 0, (0, v, 0, v)),
-                _Item(True, (1, 1, 0, 1), v, (v, v, 0, v))]
-    # an isolated vertex: leaving it out of A costs pointwise less, so that
-    # item would be pruned
-    return [_Item(False, (1, INF, 1, INF), v, (v, 0, v, 0))]
+        return 0, _TWIN_LEAF, [(0, (0, v, 0, v)), (v, (v, v, 0, v))]
+    return 1, _ISOLATED_LEAF, [(v, (v, 0, v, 0))]
 
 
 def _cut(join, l_in, r_in, u1, d1, u2, d2):
@@ -352,48 +364,89 @@ _LEGAL = {
 }
 
 
-def _combine_items(node, items1, items2):
+def _combine_states(node, state1, state2):
+    """(state, shift, recipe) of node's items from its children's states:
+    the items' costs are the state's plus the children's offsets plus shift,
+    and recipe[j] = (j1, j2, picks) makes item j from child items j1 and j2."""
     join = node.label == JOIN
     l_in, r_in = node.l_in, node.r_in
     legal = _LEGAL[join, l_in, r_in]
     out = []
-    for it1 in items1:
-        c1, d1 = it1.c, it1.d
-        for it2 in items2:
-            if join and it1.i and it2.i:
+    for j1, (i1, c1) in enumerate(state1):
+        for j2, (i2, c2) in enumerate(state2):
+            if join and i1 and i2:
                 continue
-            c2, d2 = it2.c, it2.d
             c = []
-            d = []
+            picks = []
             for slot in legal:
                 best = INF
-                dom = 0
+                pick = None
                 for k1, k2 in slot:
                     cost = c1[k1] + c2[k2]
                     if cost < best:
                         best = cost
-                        dom = d1[k1] | d2[k2]
+                        pick = k1, k2
                 c.append(best)
-                d.append(dom)
-            i = (it1.i and l_in) or (it2.i and r_in)
-            out.append(_Item(i, tuple(c), it1.a | it2.a, tuple(d)))
-    return undominated(out, attrgetter("i"), attrgetter("c"))
+                picks.append(pick)
+            out.append(((i1 and l_in) or (i2 and r_in), tuple(c), (j1, j2, tuple(picks))))
+    kept = undominated(out, itemgetter(0), itemgetter(1))
+    shift = min(min(c) for _, c, _ in kept)
+    state = tuple((i, tuple([x - shift if x < INF else INF for x in c])) for i, c, _ in kept)
+    return state, shift, tuple(recipe for _, _, recipe in kept)
 
 
-def _value_items(g, decomp, stats):
-    """Items of the root. The decomposition lists every leaf first, so a
-    leaf's items are made only when its parent combines them."""
-    table = {}
+def _carry(recipe, masks1, masks2):
+    """The (a, d) masks of the items recipe makes from its children's."""
+    out = []
+    for j1, j2, picks in recipe:
+        a1, d1 = masks1[j1]
+        a2, d2 = masks2[j2]
+        out.append((a1 | a2, tuple([d1[p[0]] | d2[p[1]] if p else 0 for p in picks])))
+    return out
+
+
+def _value_items(decomp, stats):
+    """(offset, state, masks) of the root. The decomposition lists every
+    leaf first, so a leaf's items are made only when its parent combines
+    them."""
+    ids = {}     # state -> interned id
+    states = []  # interned id -> state
+    memo = {}    # (label, l_in, r_in, left id, right id) -> (id, shift, recipe)
+    table = {}   # id(node) -> (offset, state id, masks)
+
+    def intern(state):
+        sid = ids.get(state)
+        if sid is None:
+            sid = ids[state] = len(states)
+            states.append(state)
+        return sid
+
+    def items_of(child):
+        if not child.is_leaf:
+            return table.pop(id(child))
+        offset, state, masks = _leaf_items(child)
+        return offset, intern(state), masks
+
     for node in decomp.postorder():
         if node.is_leaf:
             continue
-        kids = [_leaf_items(g, c) if c.is_leaf else table.pop(id(c))
-                for c in (node.left, node.right)]
-        items = _combine_items(node, *kids)
-        table[id(node)] = items
+        o1, s1, m1 = items_of(node.left)
+        o2, s2, m2 = items_of(node.right)
+        key = node.label, node.l_in, node.r_in, s1, s2
+        hit = memo.get(key)
+        if hit is None:
+            state, shift, recipe = _combine_states(node, states[s1], states[s2])
+            hit = memo[key] = intern(state), shift, recipe
+        sid, shift, recipe = hit
+        masks = _carry(recipe, m1, m2)
+        table[id(node)] = o1 + o2 + shift, sid, masks
         if stats is not None:
-            stats.max_items = max(stats.max_items, len(items), *map(len, kids))
-    return table[id(decomp.root)]
+            stats.max_items = max(stats.max_items, len(masks), len(m1), len(m2))
+    if stats is not None:
+        stats.states += len(states)
+        stats.combines += len(memo)
+    offset, sid, masks = table[id(decomp.root)]
+    return offset, states[sid], masks
 
 
 def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None,
@@ -401,7 +454,10 @@ def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None,
     """Independence-domination number of a distance-hereditary graph.
 
     Without a decomposition the graph is recognized first; stats, if given,
-    receives the elimination counts of that recognition and the DP size."""
+    receives the elimination counts of that recognition and the DP size. A
+    decomposition of another vertex count raises GraphError."""
+    if decomp is not None and decomp.n != g.n:
+        raise GraphError(f"decomposition for n={decomp.n} does not match graph n={g.n}")
     if g.n == 0:
         return 0, DominationCertificate(0, 0, 0)
     if decomp is None:
@@ -415,9 +471,11 @@ def gamma_i_dh(g: Graph, decomp: DHDecomposition | None = None,
     if decomp.root.is_leaf:
         v = decomp.root.vertex
         return 1, DominationCertificate(1 << v, 1 << v, 1)
-    best = max(_value_items(g, decomp, stats), key=lambda it: it.c[0])
-    value = best.c[0]
-    return value, DominationCertificate(best.a, best.d[0], value)
+    offset, state, masks = _value_items(decomp, stats)
+    best = max(range(len(state)), key=lambda j: state[j][1][0])
+    value = offset + state[best][1][0]
+    a, d = masks[best]
+    return value, DominationCertificate(a, d[0], value)
 
 
 # --- feasibility tables ------------------------------------------------------

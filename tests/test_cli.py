@@ -85,9 +85,12 @@ class TestGammaI:
         assert code == 0
         assert reports[0]["algorithm"] == "dh"
         stats = reports[0]["stats"]
-        assert set(stats) == {"pendants", "true_twins", "false_twins", "max_items"}
+        assert set(stats) == {"pendants", "true_twins", "false_twins", "max_items", "states",
+                              "combines"}
         assert stats["pendants"] + stats["true_twins"] + stats["false_twins"] == 6
         assert stats["max_items"] > 0
+        # path(7)'s tree has six inner nodes, each one combine at most
+        assert 0 < stats["combines"] <= 6 and stats["states"] > 0
 
     @pytest.mark.parametrize("g", [cycle(5), grid(3, 3)], ids=["c5", "grid3x3"])
     def test_forced_dh_mismatch(self, tmp_path, capsys, g):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import namedtuple
 from operator import attrgetter
 
 import pytest
@@ -374,6 +375,15 @@ class TestGammaIDH:
             assert value == gamma_i_oracle(made.graph)[0]
             assert verify_certificate(made.graph, cert)
 
+    def test_decomposition_of_another_vertex_count_is_refused(self):
+        # unchecked, path(5)'s tree answers 2 on path(3), whose value is 1,
+        # naming vertex 3, and path(3)'s tree answers 1 on path(5)
+        for g, other in ((path(3), path(5)), (path(5), path(3)), (Graph(0), path(2))):
+            d = build_dh_decomposition(other, recognize_dh(other))
+            with pytest.raises(GraphError, match=f"decomposition for n={other.n} does not "
+                                                 f"match graph n={g.n}"):
+                gamma_i_dh(g, d)
+
     def test_flat_count_table_counterexample(self):
         # gamma-i is 3 here, but every maximum-size independent set is
         # dominated by one vertex, so a table keyed only on sizes reads 1
@@ -441,6 +451,25 @@ def brute_force_value_items(g, node):
     return out
 
 
+# an item spelled out: the twinset flag, the cost vector, A and the D per slot
+Item = namedtuple("Item", "i c a d")
+
+
+def expand(items):
+    """The Items of a node's (offset, state, masks)."""
+    offset, state, masks = items
+    return [Item(i, tuple(x + offset if x < INF else INF for x in c), a, d)
+            for (i, c), (a, d) in zip(state, masks)]
+
+
+def combine(node, items1, items2):
+    """A node's (offset, state, masks) from its children's, by one combine of
+    their states and its recipe carried onto their masks."""
+    (o1, s1, m1), (o2, s2, m2) = items1, items2
+    state, shift, recipe = distance_hereditary._combine_states(node, s1, s2)
+    return o1 + o2 + shift, state, distance_hereditary._carry(recipe, m1, m2)
+
+
 def _combine_by_search(node, items1, items2):
     """The node combine as a search over all 16 child assignments per slot,
     the first strict minimum kept with the union of its child slots' D."""
@@ -468,8 +497,24 @@ def _combine_by_search(node, items1, items2):
                             c[u * 2 + d] = cost
                             dom[u * 2 + d] = it1.d[k1] | it2.d[k2]
             i = (it1.i and l_in) or (it2.i and r_in)
-            out.append(distance_hereditary._Item(i, tuple(c), it1.a | it2.a, tuple(dom)))
+            out.append(Item(i, tuple(c), it1.a | it2.a, tuple(dom)))
     return undominated(out, attrgetter("i"), attrgetter("c"))
+
+
+def search_dp(decomp):
+    """(value, certificate, max_items) by a DP of spelled-out items on
+    _combine_by_search, with no states and no memo."""
+    table = {}
+    max_items = 0
+    for node in decomp.postorder():
+        if node.is_leaf:
+            items = expand(distance_hereditary._leaf_items(node))
+        else:
+            items = _combine_by_search(node, table.pop(id(node.left)), table.pop(id(node.right)))
+        table[id(node)] = items
+        max_items = max(max_items, len(items))
+    best = max(table[id(decomp.root)], key=lambda it: it.c[0])
+    return best.c[0], DominationCertificate(best.a, best.d[0], best.c[0]), max_items
 
 
 def edge_value_items(g, decomp):
@@ -479,12 +524,10 @@ def edge_value_items(g, decomp):
     out = {}
     for node in decomp.postorder():
         if node.is_leaf:
-            table[id(node)] = distance_hereditary._leaf_items(g, node)
+            table[id(node)] = distance_hereditary._leaf_items(node)
         else:
-            table[id(node)] = distance_hereditary._combine_items(
-                node, table[id(node.left)], table[id(node.right)]
-            )
-        out[id(node)] = [(it.i, it.a, it.c) for it in table[id(node)]]
+            table[id(node)] = combine(node, table[id(node.left)], table[id(node.right)])
+        out[id(node)] = [(it.i, it.a, it.c) for it in expand(table[id(node)])]
     return out
 
 
@@ -497,28 +540,22 @@ class TestCombineTable:
             items = {}
             for node in d.postorder():
                 if node.is_leaf:
-                    items[id(node)] = distance_hereditary._leaf_items(g, node)
-                    continue
-                kids = items[id(node.left)], items[id(node.right)]
-                got = distance_hereditary._combine_items(node, *kids)
-                want = _combine_by_search(node, *kids)
-                assert [(it.i, it.c, it.a, it.d) for it in got] == \
-                    [(it.i, it.c, it.a, it.d) for it in want]
+                    got = distance_hereditary._leaf_items(node)
+                else:
+                    kids = items[id(node.left)], items[id(node.right)]
+                    got = combine(node, *kids)
+                    assert expand(got) == _combine_by_search(node, *map(expand, kids))
+                # a state is its items' costs less their least one
+                assert min(min(c) for _, c in got[1]) == 0
                 items[id(node)] = got
 
-    def test_certificates_match_the_search(self, monkeypatch):
-        runs = []
-        for combine in (distance_hereditary._combine_items, _combine_by_search):
-            monkeypatch.setattr(distance_hereditary, "_combine_items", combine)
-            run = []
-            for seed in range(40):
-                made = random_dh(6 + seed, seed)
-                d = build_dh_decomposition(made.graph, made.artifact)
-                per_edge = edge_value_items(made.graph, d)
-                run.append(([per_edge[id(node)] for node in d.postorder()],
-                            gamma_i_dh(made.graph, d)))
-            runs.append(run)
-        assert runs[0] == runs[1]
+    def test_certificates_match_the_search(self):
+        for seed in range(40):
+            made = random_dh(6 + seed, seed)
+            d = build_dh_decomposition(made.graph, made.artifact)
+            stats = DHStats()
+            value, cert = gamma_i_dh(made.graph, d, stats)
+            assert (value, cert, stats.max_items) == search_dp(d)
 
     @pytest.mark.parametrize("join, l_in, r_in", itertools.product((False, True), repeat=3))
     def test_legal_pairs_keep_the_three_clause_rule(self, join, l_in, r_in):
@@ -632,6 +669,13 @@ def _items_reachable(obj, kind):
     return found
 
 
+def _carried_flat(entry):
+    """Whether a carried item is (A, (D0, D1, D2, D3)) of plain ints."""
+    a, dom = entry
+    return type(a) is int and type(dom) is tuple and len(dom) == 4 and \
+        all(type(x) is int for x in dom)
+
+
 class TestCarriedCertificates:
     def test_same_certificates_as_the_walk_back_down_the_tree(self):
         # the criterion-4 corpus and cographs (whose isolated vertices keep
@@ -654,38 +698,50 @@ class TestCarriedCertificates:
         assert compared > 850
 
     def test_no_item_refers_to_another(self):
-        item = distance_hereditary._Item  # an item held through a tuple is found
-        leaf = item(False, (0, 1, 0, 1), 0, (0, 1, 0, 1))
-        assert _items_reachable(item(False, (0,) * 4, 0, (leaf,) * 4), item) == [leaf]
+        # a carried item is its A and its four D, all ints, so it can hold no
+        # other item; a recipe names child items and slots by index
+        leaf = (0, (0, 1, 0, 1))
+        assert _carried_flat(leaf) and not _carried_flat((0, (leaf,) * 4))
         for seed in range(10):
             made = random_dh(6 + seed, seed)
-            g = made.graph
-            d = build_dh_decomposition(g, made.artifact)
+            d = build_dh_decomposition(made.graph, made.artifact)
             items = {}
             for node in d.postorder():
                 if node.is_leaf:
-                    items[id(node)] = distance_hereditary._leaf_items(g, node)
+                    items[id(node)] = distance_hereditary._leaf_items(node)
                 else:
-                    items[id(node)] = distance_hereditary._combine_items(
-                        node, items[id(node.left)], items[id(node.right)])
-                for it in items[id(node)]:
-                    assert _items_reachable(it, item) == []
+                    kids = items[id(node.left)], items[id(node.right)]
+                    _, _, recipe = distance_hereditary._combine_states(
+                        node, kids[0][1], kids[1][1])
+                    for j1, j2, picks in recipe:
+                        indices = [j1, j2, *itertools.chain(*filter(None, picks))]
+                        assert all(type(j) is int for j in indices)
+                    items[id(node)] = combine(node, *kids)
+                assert all(map(_carried_flat, items[id(node)][2]))
             # an item of the walked design refers to its children
             assert _items_reachable(_provenance_root_item(d), _ProvItem) != []
 
 
     def test_leaves_made_at_their_parent_keep_value_certificate_and_stats(self,
                                                                          monkeypatch):
-        def every_leaf_first(g, decomp, stats):
-            table = {}
+        def every_leaf_first(decomp, stats):
+            # a memo keyed by the states themselves, not by interned ids
+            states, memo, table = set(), {}, {}
             for node in decomp.postorder():
                 if node.is_leaf:
-                    items = distance_hereditary._leaf_items(g, node)
+                    items = distance_hereditary._leaf_items(node)
                 else:
-                    items = distance_hereditary._combine_items(
-                        node, table.pop(id(node.left)), table.pop(id(node.right)))
+                    (o1, s1, m1), (o2, s2, m2) = table.pop(id(node.left)), table.pop(id(node.right))
+                    key = node.label, node.l_in, node.r_in, s1, s2
+                    if key not in memo:
+                        memo[key] = distance_hereditary._combine_states(node, s1, s2)
+                    state, shift, recipe = memo[key]
+                    items = o1 + o2 + shift, state, distance_hereditary._carry(recipe, m1, m2)
+                states.add(items[1])
                 table[id(node)] = items
-                stats.max_items = max(stats.max_items, len(items))
+                stats.max_items = max(stats.max_items, len(items[2]))
+            stats.states += len(states)
+            stats.combines += len(memo)
             return table[id(decomp.root)]
 
         def solve_all():
@@ -701,6 +757,31 @@ class TestCarriedCertificates:
         got = solve_all()
         monkeypatch.setattr(distance_hereditary, "_value_items", every_leaf_first)
         assert got == solve_all()
+
+
+class TestCallOrder:
+    def test_solves_keep_nothing_between_calls(self):
+        # a batch solved forwards and backwards in one process gives each
+        # graph what its own solve gave, stats included, and the DP of
+        # spelled-out items agrees beyond the oracle's reach
+        batch = [made.graph for n in (30, 80, 150, 220, 300) for seed in (0, 1)
+                 for made in (random_dh(n, seed), random_cograph(n, seed))]
+
+        def solve(g):
+            stats = DHStats()
+            return gamma_i_dh(g, None, stats), stats
+
+        alone = []
+        for g in batch:
+            (value, cert), stats = got = solve(g)
+            d = build_dh_decomposition(g, recognize_dh(g))
+            assert (value, cert, stats.max_items) == search_dp(d)
+            assert verify_certificate(g, cert)
+            assert 0 < stats.combines < g.n and 0 < stats.states <= stats.combines + 2
+            alone.append(got)
+        forwards = [solve(g) for g in batch]
+        backwards = [solve(g) for g in reversed(batch)][::-1]
+        assert forwards == alone and backwards == alone
 
 
 class TestEdgeTables:

@@ -2,6 +2,7 @@
 `indom gen` line writes files that `indom gamma-i` reads back, and every
 `indom ...` line of its sh blocks parses with the CLI's own parser."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from indom.cli import build_parser, main
-from indom.distance_hereditary import parse_sequence, replay_sequence
+from indom.distance_hereditary import DHStats, parse_sequence, replay_sequence
 from indom.generators import generate
 from indom.graph import parse
 
@@ -31,6 +32,14 @@ def test_python_example_runs():
     names = {}
     exec(compile(example, "README.md", "exec"), names)
     assert (names["algorithm"], names["value"]) == ("cograph", 1)
+
+
+def test_dh_stats_keys_are_the_reported_fields():
+    # the CLI reports asdict(DHStats()), so README's list must name each field
+    (sentence,) = re.findall(r"When the\s+distance-hereditary solver answers, `stats` (.*?); "
+                             r"the\s+exact solver", README, flags=re.DOTALL)
+    assert set(re.findall(r"`(\w+)`", sentence)) == \
+        {field.name for field in dataclasses.fields(DHStats)}
 
 
 def test_sh_blocks_hold_the_cli_examples():
